@@ -5,7 +5,10 @@
 //! pair is the Section 4.4.2 adaptation made visible: correlated keywords
 //! finish on the rank-sorted phase, uncorrelated keywords show the switch
 //! decision (cost spent, the `(m-r)·t/r` estimate when computable, the
-//! a-priori DIL estimate) and the DIL fallback stage.
+//! a-priori DIL estimate) and the DIL fallback stage. Each pair runs
+//! twice: on an emptied pool, where the monitor reads the I/O ledger
+//! (`clock=io`), and again with every page it needs cached, where it
+//! counts postings decoded (`clock=work`).
 //!
 //! ```sh
 //! cargo run --release -p xrank-bench --bin e9_explain
@@ -30,11 +33,14 @@ fn main() {
 
     for (regime, corr) in [("high", Correlation::High), ("low", Correlation::Low)] {
         let q = query(corr, 0, 2).join(" ");
-        println!("--- {regime}-correlation pair ---");
-        let report = engine
-            .explain(&q, Strategy::Hdil, &opts)
-            .expect("planted keywords resolve");
-        print!("{report}");
-        println!();
+        engine.pool().clear_cache();
+        for pool in ["cold", "warm"] {
+            println!("--- {regime}-correlation pair, {pool} pool ---");
+            let report = engine
+                .explain(&q, Strategy::Hdil, &opts)
+                .expect("planted keywords resolve");
+            print!("{report}");
+            println!();
+        }
     }
 }

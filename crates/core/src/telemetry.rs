@@ -462,8 +462,10 @@ impl fmt::Display for Explain {
         )?;
         writeln!(
             f,
-            "  work: entries_scanned={} btree_probes={} hash_probes={} range_scans={}",
+            "  work: entries_scanned={} postings_decoded={} btree_probes={} hash_probes={} \
+             range_scans={}",
             self.eval.entries_scanned,
+            self.eval.postings_decoded,
             self.eval.btree_probes,
             self.eval.hash_probes,
             self.eval.range_scans,
@@ -511,8 +513,10 @@ impl fmt::Display for Explain {
         if let Some(sw) = self.eval.switch {
             writeln!(
                 f,
-                "  switch: reason={} spent={:.1} rdil_remaining={} dil_estimate={:.1} confirmed={}",
+                "  switch: reason={} clock={} spent={:.1} rdil_remaining={} dil_estimate={:.1} \
+                 confirmed={}",
                 sw.reason.name(),
+                sw.clock.name(),
                 sw.spent,
                 sw.rdil_remaining
                     .map_or_else(|| "n/a".to_string(), |v| format!("{v:.1}")),
@@ -552,6 +556,7 @@ impl fmt::Display for Explain {
                         " ta_round entries={entries} threshold={threshold:.4} confirmed={confirmed}"
                     )?,
                     EventData::Switch {
+                        clock,
                         spent,
                         rdil_remaining,
                         dil_estimate,
@@ -559,8 +564,9 @@ impl fmt::Display for Explain {
                         reason,
                     } => writeln!(
                         f,
-                        " switch reason={} spent={spent:.1} rdil_remaining={} dil_estimate={dil_estimate:.1} confirmed={confirmed}",
+                        " switch reason={} clock={} spent={spent:.1} rdil_remaining={} dil_estimate={dil_estimate:.1} confirmed={confirmed}",
                         reason.name(),
+                        clock.name(),
                         rdil_remaining
                             .map_or_else(|| "n/a".to_string(), |v| format!("{v:.1}")),
                     )?,
@@ -637,7 +643,7 @@ mod tests {
 
     #[test]
     fn explain_renders_stages_and_switch() {
-        use xrank_obs::{QueryTrace, Stage, SwitchReason};
+        use xrank_obs::{QueryTrace, Stage, SwitchClock, SwitchReason};
         let qt = QueryTrace::enabled();
         {
             let _s = qt.span(Stage::TaLoop);
@@ -645,6 +651,7 @@ mod tests {
         qt.event(
             Stage::SwitchDecision,
             EventData::Switch {
+                clock: SwitchClock::Work,
                 spent: 12.0,
                 rdil_remaining: Some(99.5),
                 dil_estimate: 40.0,
@@ -665,7 +672,8 @@ mod tests {
         let text = explain.to_string();
         assert!(text.contains("strategy=hdil"), "{text}");
         assert!(text.contains("ta_loop"), "{text}");
-        assert!(text.contains("reason=estimate_exceeded"), "{text}");
+        assert!(text.contains("reason=estimate_exceeded clock=work spent=12.0"), "{text}");
+        assert!(text.contains("postings_decoded=0"), "{text}");
         assert!(text.contains("rdil_remaining=99.5"), "{text}");
         assert!(text.contains("dil_estimate=40.0"), "{text}");
         assert!(text.contains("degraded: partial answer (trigger=deadline)"), "{text}");

@@ -1422,6 +1422,7 @@ impl UpdatableXRank {
                 let mut r = view.seg.engine.query(query, Strategy::Hdil, &pass_opts)?;
                 let raw = r.hits.len();
                 eval.entries_scanned += r.eval.entries_scanned;
+                eval.postings_decoded += r.eval.postings_decoded;
                 eval.btree_probes += r.eval.btree_probes;
                 io.seq_reads += r.io.seq_reads;
                 io.rand_reads += r.io.rand_reads;

@@ -8,7 +8,7 @@ use std::time::Duration;
 use xrank_core::{
     EngineBuilder, EngineConfig, ObsConfig, QueryExecutor, QueryRequest, Strategy, XRankEngine,
 };
-use xrank_obs::{EventData, Stage, SwitchReason};
+use xrank_obs::{EventData, Stage, SwitchClock, SwitchReason};
 use xrank_query::QueryOptions;
 
 /// The paper's Figure 1 / Section 4.2.2 workshop-proceedings example.
@@ -123,6 +123,12 @@ fn hdil_switch_records_both_cost_estimates() {
     let decision = res.eval.switch.as_ref().expect("switch decision recorded");
     assert!(decision.dil_estimate > 0.0);
     assert!(decision.spent >= 0.0);
+    // …in the unit its clock names: the I/O ledger only once the RDIL
+    // phase has paid for a physical read, postings decoded otherwise.
+    if res.io.physical_reads() == 0 {
+        assert_eq!(decision.clock, SwitchClock::Work);
+        assert!(decision.spent <= res.eval.postings_decoded as f64);
+    }
     match decision.reason {
         // (m-r)·t/r is only computable once r > 0 results are confirmed.
         SwitchReason::EstimateExceeded => {
@@ -142,7 +148,8 @@ fn hdil_switch_records_both_cost_estimates() {
     let event = trace.switch_event().expect("switch event in trace");
     assert_eq!(event.stage, Stage::SwitchDecision);
     match &event.data {
-        EventData::Switch { spent, rdil_remaining, dil_estimate, confirmed, reason } => {
+        EventData::Switch { clock, spent, rdil_remaining, dil_estimate, confirmed, reason } => {
+            assert_eq!(*clock, decision.clock);
             assert_eq!(*spent, decision.spent);
             assert_eq!(*rdil_remaining, decision.rdil_remaining);
             assert_eq!(*dil_estimate, decision.dil_estimate);
@@ -151,6 +158,16 @@ fn hdil_switch_records_both_cost_estimates() {
         }
         other => panic!("switch event carries {other:?}"),
     }
+
+    // A second run finds every page cached, so it decides on the work
+    // clock, and EXPLAIN says so.
+    let warm = e.explain("alpha beta", Strategy::Hdil, &opts).unwrap();
+    assert_eq!(warm.io.physical_reads(), 0);
+    let decision = warm.eval.switch.expect("warm run switches too");
+    assert_eq!(decision.clock, SwitchClock::Work);
+    let rendered = warm.to_string();
+    assert!(rendered.contains("  switch: reason="), "{rendered}");
+    assert!(rendered.contains(" clock=work spent="), "{rendered}");
 }
 
 #[test]
@@ -172,6 +189,11 @@ fn explain_renders_for_all_five_variants() {
         assert!(rendered.contains("EXPLAIN"), "{rendered}");
         assert!(rendered.contains(label), "{rendered}");
         assert!(rendered.contains("tokenize"), "{rendered}");
+        assert!(explain.eval.postings_decoded > 0, "{label} decoded no posting");
+        assert!(
+            rendered.contains(&format!("postings_decoded={}", explain.eval.postings_decoded)),
+            "{rendered}"
+        );
     }
 }
 

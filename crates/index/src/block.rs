@@ -130,6 +130,38 @@ pub fn dewey_len(prev: Option<&DeweyId>, cur: &DeweyId) -> usize {
 
 /// Decodes one v2 Dewey delta. Inverse of [`encode_dewey`].
 pub fn decode_dewey(prev: Option<&DeweyId>, buf: &[u8]) -> Result<(DeweyId, usize), DecodeError> {
+    let mut components = Vec::new();
+    let prev = prev.map_or(&[][..], |p| p.components());
+    // One exact-size allocation per ID: the list readers keep every ID
+    // they decode, and this is their innermost loop.
+    let used = decode_dewey_with(prev, buf, &mut components, |v, n| *v = Vec::with_capacity(n))?;
+    Ok((DeweyId::from_components(components), used))
+}
+
+/// [`decode_dewey`] into a caller-owned component buffer (cleared first),
+/// so a block scan that only *compares* most of the IDs it passes reuses
+/// two buffers instead of allocating one ID per entry. `prev` is the
+/// previous entry's components (empty at a block restart).
+pub fn decode_dewey_into(
+    prev: &[u32],
+    buf: &[u8],
+    out: &mut Vec<u32>,
+) -> Result<usize, DecodeError> {
+    decode_dewey_with(prev, buf, out, |v, n| {
+        v.clear();
+        v.reserve(n);
+    })
+}
+
+/// The one v2 Dewey-delta decoder; `make_room(out, n)` leaves `out` empty
+/// with room for the ID's `n` components.
+#[inline(always)]
+fn decode_dewey_with(
+    prev: &[u32],
+    buf: &[u8],
+    out: &mut Vec<u32>,
+    make_room: impl FnOnce(&mut Vec<u32>, usize),
+) -> Result<usize, DecodeError> {
     let (h, mut off) = codec::read_component(buf)?;
     let mut shared = h & 7;
     let mut suffix = h >> 3;
@@ -143,25 +175,27 @@ pub fn decode_dewey(prev: Option<&DeweyId>, buf: &[u8]) -> Result<(DeweyId, usiz
         suffix = v;
         off += n;
     }
-    let prev_components = prev.map_or(&[][..], |p| p.components());
-    if shared as usize > prev_components.len() {
+    let shared = shared as usize;
+    // Every suffix component takes at least one byte, so a length beyond
+    // the remaining bytes is corruption — reject before reserving.
+    if shared > prev.len() || suffix as usize > buf.len() - off {
         return Err(DecodeError::Truncated);
     }
-    let mut components = Vec::with_capacity(shared as usize + suffix as usize);
-    components.extend_from_slice(&prev_components[..shared as usize]);
+    make_room(out, shared + suffix as usize);
+    out.extend_from_slice(&prev[..shared]);
     for i in 0..suffix {
-        if i == 0 && (shared as usize) < prev_components.len() {
+        if i == 0 && shared < prev.len() {
             let (d, n) = read_zigzag(&buf[off..])?;
-            let c = prev_components[shared as usize] as i64 + d;
-            components.push(u32::try_from(c).map_err(|_| DecodeError::Overflow)?);
+            let c = prev[shared] as i64 + d;
+            out.push(u32::try_from(c).map_err(|_| DecodeError::Overflow)?);
             off += n;
         } else {
             let (c, n) = codec::read_component(&buf[off..])?;
-            components.push(c);
+            out.push(c);
             off += n;
         }
     }
-    Ok((DeweyId::from_components(components), off))
+    Ok(off)
 }
 
 /// A block's staged rank dictionary: the distinct rank bit patterns seen

@@ -631,20 +631,6 @@ fn page_header(page: &[u8]) -> StorageResult<usize> {
         .map_err(|_| StorageError::corrupt("list page shorter than its header"))
 }
 
-/// As [`decode_dewey_page`] for a pinned page: the checksum pass runs only
-/// when the pin did the physical read (cache hits decode pre-verified
-/// bytes). The hot-path form for readers holding a [`PageRef`].
-pub fn decode_dewey_page_pinned(page: &PageRef, format: ListFormat) -> StorageResult<Vec<Posting>> {
-    match format {
-        ListFormat::V2 => {
-            v2_verify_fresh(page)?;
-            let n = v2_entry_count(page)?;
-            decode_blocks(page, n)
-        }
-        ListFormat::V1 => decode_dewey_page(page, format),
-    }
-}
-
 /// Decodes a Dewey-list page into postings (`elem` ids are not stored on
 /// disk and come back as 0). Corruption yields a typed error, not a panic.
 pub fn decode_dewey_page(page: &[u8], format: ListFormat) -> StorageResult<Vec<Posting>> {
@@ -690,12 +676,6 @@ pub fn decode_rank_page(page: &[u8], format: ListFormat) -> StorageResult<Vec<Po
 /// entry encoding is identical).
 fn decode_block_page(page: &[u8]) -> StorageResult<Vec<Posting>> {
     let n = v2_page_header(page)?;
-    decode_blocks(page, n)
-}
-
-/// Decodes a v2 page's block run (`n` = its entry count; checksum already
-/// handled by the caller).
-fn decode_blocks(page: &[u8], n: usize) -> StorageResult<Vec<Posting>> {
     let mut out = Vec::with_capacity(n.min(PAGE_SIZE));
     let mut off = V2_PAGE_HEADER;
     while out.len() < n {
@@ -835,6 +815,8 @@ pub struct ListReader {
     blk_ranks: Vec<f32>,
     blocks_decoded: u64,
     blocks_skipped: u64,
+    /// Entries [`ListReader::next_seek`] decoded and dropped.
+    dropped: u64,
 }
 
 impl ListReader {
@@ -859,6 +841,7 @@ impl ListReader {
             blk_ranks: Vec::new(),
             blocks_decoded: 0,
             blocks_skipped: 0,
+            dropped: 0,
         }
     }
 
@@ -881,6 +864,13 @@ impl ListReader {
     /// Blocks jumped over without decoding (v2; 0 on v1).
     pub fn blocks_skipped(&self) -> u64 {
         self.blocks_skipped
+    }
+
+    /// Postings decoded off list pages so far: those yielded, those
+    /// [`ListReader::next_seek`] decoded and dropped inside a landing
+    /// block, and a peeked one not yet yielded.
+    pub fn decoded(&self) -> u64 {
+        self.consumed as u64 + self.dropped + self.pending.is_some() as u64
     }
 
     /// Peeks at the next posting without consuming it.
@@ -967,11 +957,7 @@ impl ListReader {
                 };
                 let (page, offset) = (e.page, e.offset as usize);
                 if self.frame.as_ref().is_none_or(|f| f.page_no != page) {
-                    let pinned = pool.read(PageId::new(self.segment, page))?;
-                    // Checksum once per physical read: every later decode
-                    // off this frame (and every cache hit) reads bytes
-                    // verified when they came off the medium.
-                    v2_verify_fresh(&pinned)?;
+                    let pinned = pin_v2_page(pool, self.segment, page)?;
                     self.frame = Some(PageFrame {
                         page: pinned,
                         page_no: page,
@@ -1047,7 +1033,7 @@ impl ListReader {
                     self.blocks_skipped += (idx - self.entered_blocks) as u64;
                     self.entered_blocks = idx;
                     self.block_remaining = 0;
-                    self.pending = None;
+                    self.dropped += self.pending.take().is_some() as u64;
                     let jump_page = skip.blocks[idx].page;
                     if self.frame.as_ref().is_none_or(|f| f.page_no != jump_page) {
                         self.frame = None; // pinned lazily on next decode
@@ -1060,7 +1046,10 @@ impl ListReader {
         loop {
             self.ensure_pending(pool)?;
             match &self.pending {
-                Some(p) if p.dewey < *target => self.pending = None,
+                Some(p) if p.dewey < *target => {
+                    self.pending = None;
+                    self.dropped += 1;
+                }
                 _ => return Ok(()),
             }
         }
@@ -1115,6 +1104,93 @@ impl ListReader {
     }
 }
 
+/// What one [`scan_block`] call found.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlockScan {
+    /// Last posting of the block sorting below the target (`None` when
+    /// the block's first posting already reaches it).
+    pub below: Option<Posting>,
+    /// First posting of the block at or above the target (`None` when the
+    /// whole block sorts below it, or no target was given).
+    pub at_or_above: Option<Posting>,
+    /// Entries examined.
+    pub decoded: u32,
+}
+
+/// Pins `page_no` for a block-granular reader. Checksum once per physical
+/// read: every later decode off this pin (and every cache hit) reads
+/// bytes verified when they came off the medium.
+pub fn pin_v2_page<S: PageStore>(
+    pool: &BufferPool<S>,
+    segment: SegmentId,
+    page_no: u32,
+) -> StorageResult<PageRef> {
+    let page = pool.read(PageId::new(segment, page_no))?;
+    v2_verify_fresh(&page)?;
+    Ok(page)
+}
+
+/// Scans the v2 block whose count varint sits at `page[offset..]` up to
+/// the first posting with `dewey >= target` — the unit of work of an HDIL
+/// probe, which the skip table has already narrowed to this one block.
+/// With no target the whole block is passed and `below` is its last
+/// posting. Entries on the way are only compared: their IDs are decoded
+/// into two reused buffers and their positions skipped, and only the (at
+/// most two) answering entries are materialized. `page` must already be
+/// checksummed (see [`pin_v2_page`]).
+pub fn scan_block(
+    page: &[u8],
+    offset: usize,
+    target: Option<&DeweyId>,
+) -> StorageResult<BlockScan> {
+    let rest = |off: usize| {
+        page.get(off..).ok_or_else(|| StorageError::corrupt("block scan overruns page"))
+    };
+    let bad = |e: codec::DecodeError| StorageError::corrupt(format!("block scan: {e}"));
+    // Materializes the entry whose rank index starts at `payload`. Not
+    // shared with `block::decode_entry`: splitting that function to reuse
+    // its tail here cost the list readers 2–3 % on their per-entry path.
+    let posting = |components: &[u32], ranks: &[f32], payload: usize| {
+        let (idx, n) = codec::read_component(rest(payload)?).map_err(bad)?;
+        let rank = *ranks
+            .get(idx as usize)
+            .ok_or_else(|| StorageError::corrupt("block scan: rank index outside dictionary"))?;
+        let (positions, _) = posting::decode_positions(rest(payload + n)?).map_err(bad)?;
+        let dewey = DeweyId::from_components(components.to_vec());
+        Ok::<_, StorageError>(Posting { elem: 0, dewey, rank, positions })
+    };
+
+    let (count, n) = codec::read_component(rest(offset)?).map_err(bad)?;
+    let mut off = offset + n;
+    let (ranks, n) = block::RankDict::read(rest(off)?).map_err(bad)?;
+    off += n;
+    // `cur`/`cur_payload`: the entry just decoded; `prev`/`prev_payload`:
+    // the one before it (the delta base, and the predecessor on a hit).
+    let (mut cur, mut prev) = (Vec::new(), Vec::new());
+    let mut cur_payload = None;
+    for i in 0..count {
+        std::mem::swap(&mut cur, &mut prev);
+        let prev_payload = cur_payload;
+        off += block::decode_dewey_into(&prev, rest(off)?, &mut cur).map_err(bad)?;
+        cur_payload = Some(off);
+        if target.is_some_and(|t| cur.as_slice() >= t.components()) {
+            return Ok(BlockScan {
+                below: prev_payload.map(|p| posting(&prev, &ranks, p)).transpose()?,
+                at_or_above: Some(posting(&cur, &ranks, off)?),
+                decoded: i + 1,
+            });
+        }
+        let (_, n) = codec::read_component(rest(off)?).map_err(bad)?;
+        off += n;
+        off += posting::skip_positions(rest(off)?).map_err(bad)?;
+    }
+    Ok(BlockScan {
+        below: cur_payload.map(|p| posting(&cur, &ranks, p)).transpose()?,
+        at_or_above: None,
+        decoded: count,
+    })
+}
+
 /// Streaming reader for naive lists. Decodes a page at a time (naive
 /// postings are small and the baselines scan ranges); v2 lists expose
 /// block-granular seeks via [`NaiveListReader::next_seek`].
@@ -1133,6 +1209,7 @@ pub struct NaiveListReader {
     consumed: u32,
     blocks_decoded: u64,
     blocks_skipped: u64,
+    decoded: u64,
 }
 
 impl NaiveListReader {
@@ -1154,7 +1231,14 @@ impl NaiveListReader {
             consumed: 0,
             blocks_decoded: 0,
             blocks_skipped: 0,
+            decoded: 0,
         }
+    }
+
+    /// Postings decoded off list pages so far (naive readers decode a
+    /// page's worth at a time, consumed or not).
+    pub fn decoded(&self) -> u64 {
+        self.decoded
     }
 
     /// Blocks decoded so far (v2; 0 on v1).
@@ -1243,6 +1327,7 @@ impl NaiveListReader {
                 let page = pool.read(PageId::new(self.segment, self.next_page))?;
                 self.next_page += 1;
                 self.buffered = decode_naive_page(&page, self.delta, ListFormat::V1)?.into();
+                self.decoded += self.buffered.len() as u64;
                 Ok(())
             }
             ListFormat::V2 => {
@@ -1254,8 +1339,7 @@ impl NaiveListReader {
                 // page is pinned once and naive consumers are page-scan
                 // shaped anyway.
                 let page_no = first.page;
-                let page = pool.read(PageId::new(self.segment, page_no))?;
-                v2_verify_fresh(&page)?;
+                let page = pin_v2_page(pool, self.segment, page_no)?;
                 let mut scratch: Vec<NaivePosting> = Vec::new();
                 let mut k = self.next_block;
                 while let Some(e) = skip.blocks.get(k) {
@@ -1267,6 +1351,7 @@ impl NaiveListReader {
                 }
                 self.blocks_decoded += (k - self.next_block) as u64;
                 self.next_block = k;
+                self.decoded += scratch.len() as u64;
                 self.buffered = scratch.into();
                 Ok(())
             }
@@ -1463,6 +1548,59 @@ mod tests {
         r.next_seek(&pool, &ps[300].dewey).unwrap();
         assert_eq!(r.peek(&pool).unwrap().unwrap().dewey, ps[300].dewey);
         assert_eq!(r.blocks_skipped(), 0);
+    }
+
+    #[test]
+    fn scan_block_matches_a_full_block_decode() {
+        let mut pool = BufferPool::new(MemStore::new(), 64);
+        let seg = pool.store_mut().create_segment().unwrap();
+        let ps = postings(300);
+        let w = write_dewey_list(&mut pool, seg, &ps).unwrap();
+        let skip = w.info.skip_table();
+        assert!(skip.blocks.len() >= 3);
+        for b in &skip.blocks {
+            let page = pin_v2_page(&pool, seg, b.page).unwrap();
+            let mut block = Vec::new();
+            block::decode_block(&page, b.offset as usize, &mut block).unwrap();
+            // Every posting of the block, and the gap right after it.
+            for (i, p) in block.iter().enumerate() {
+                for (target, at) in [(p.dewey.clone(), i), (p.dewey.child(0), i + 1)] {
+                    let scan = scan_block(&page, b.offset as usize, Some(&target)).unwrap();
+                    assert_eq!(scan.at_or_above.as_ref(), block.get(at), "at {target}");
+                    assert_eq!(scan.below.as_ref(), at.checked_sub(1).map(|j| &block[j]));
+                    assert_eq!(scan.decoded as usize, (at + 1).min(block.len()));
+                }
+            }
+            let whole = scan_block(&page, b.offset as usize, None).unwrap();
+            assert_eq!((whole.below.as_ref(), whole.at_or_above), (block.last(), None));
+            assert_eq!(whole.decoded as usize, block.len());
+        }
+    }
+
+    #[test]
+    fn scan_block_on_damaged_bytes_is_an_error_not_a_panic() {
+        let mut pool = BufferPool::new(MemStore::new(), 64);
+        let seg = pool.store_mut().create_segment().unwrap();
+        let ps = postings(100);
+        let w = write_dewey_list(&mut pool, seg, &ps).unwrap();
+        let b = &w.info.skip_table().blocks[0];
+        let clean = pool.read(PageId::new(seg, b.page)).unwrap().to_vec();
+        let used = w.info.meta.used_bytes as usize;
+        let mut typed = 0;
+        for at in b.offset as usize..used {
+            for flip in [0x80u8, 0x7f, 0xff] {
+                let mut page = clean.clone();
+                page[at] ^= flip;
+                // The CRC would have caught this; the scan must still not
+                // trust what it reads.
+                typed += scan_block(&page, b.offset as usize, None).is_err() as u32;
+                let _ = scan_block(&page, b.offset as usize, Some(&ps[60].dewey));
+            }
+        }
+        assert!(typed > 0, "some damage must be detectable by the decoder itself");
+        // A block that claims to run past the page ends in an error.
+        assert!(scan_block(&clean[..used - 3], b.offset as usize, None).is_err());
+        assert!(scan_block(&clean, PAGE_SIZE + 1, None).is_err());
     }
 
     #[test]

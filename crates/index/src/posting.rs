@@ -118,6 +118,18 @@ pub fn decode_positions(buf: &[u8]) -> Result<(Vec<u32>, usize), DecodeError> {
     Ok((positions, off))
 }
 
+/// Byte length of a positions run written by [`encode_positions`],
+/// without materializing it — a probe that passes an entry on its way to
+/// the target has no use for the positions.
+pub fn skip_positions(buf: &[u8]) -> Result<usize, DecodeError> {
+    let (npos, mut off) = codec::read_component(buf)?;
+    for _ in 0..npos {
+        let (_, n) = codec::read_component(buf.get(off..).ok_or(DecodeError::Truncated)?)?;
+        off += n;
+    }
+    Ok(off)
+}
+
 /// Appends a full list entry: delta-encoded Dewey (against `prev`, `None`
 /// at page restarts or in rank-ordered lists) followed by the payload.
 pub fn encode_entry(prev: Option<&DeweyId>, p: &Posting, out: &mut Vec<u8>) {
@@ -182,6 +194,18 @@ mod tests {
         assert_eq!(rank, 0.125);
         assert_eq!(pos, vec![3, 17, 17_000, 900_000]);
         assert_eq!(n, buf.len());
+    }
+
+    #[test]
+    fn skip_positions_matches_decode_positions() {
+        for positions in [&[][..], &[0], &[3, 17, 17_000, 900_000]] {
+            let mut buf = Vec::new();
+            encode_positions(positions, &mut buf);
+            buf.extend_from_slice(&[0xAA, 0xBB]); // the next entry's bytes
+            let (_, used) = decode_positions(&buf).unwrap();
+            assert_eq!(skip_positions(&buf).unwrap(), used);
+            assert!(positions.is_empty() || skip_positions(&buf[..used - 1]).is_err());
+        }
     }
 
     #[test]

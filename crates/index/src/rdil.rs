@@ -120,7 +120,7 @@ impl RdilIndex {
     /// TA rounds, turns the ~monotone probe sequence of Figure 7 into
     /// forward seeks on a pinned leaf instead of a root descent each.
     pub fn probe_cursor(&self, term: TermId) -> RdilProbeCursor {
-        RdilProbeCursor { term, cursor: self.tree.cursor() }
+        RdilProbeCursor { term, cursor: self.tree.cursor(), decoded: 0 }
     }
 
     /// All postings of `term` whose Dewey has `prefix` as a prefix — the
@@ -197,12 +197,19 @@ impl RdilIndex {
 pub struct RdilProbeCursor {
     term: TermId,
     cursor: TreeCursor,
+    decoded: u64,
 }
 
 impl RdilProbeCursor {
     /// Seek-forward / re-descent counters since the cursor was opened.
     pub fn stats(&self) -> CursorStats {
         self.cursor.stats()
+    }
+
+    /// Tree entries decoded into postings by the probes so far (the leaf
+    /// search itself compares encoded keys and decodes nothing).
+    pub fn postings_decoded(&self) -> u64 {
+        self.decoded
     }
 
     /// Stateful [`RdilIndex::lowest_geq`]: identical answers, amortized
@@ -214,10 +221,10 @@ impl RdilProbeCursor {
     ) -> StorageResult<(Option<Posting>, Option<Posting>)> {
         let key = posting::composite_key(self.term.0, target);
         let (entry, pred) = self.cursor.seek_geq(pool, &key)?;
-        Ok((
-            entry.and_then(|e| decode_tree_entry(self.term, &e.key, &e.value)),
-            pred.and_then(|e| decode_tree_entry(self.term, &e.key, &e.value)),
-        ))
+        let entry = entry.and_then(|e| decode_tree_entry(self.term, &e.key, &e.value));
+        let pred = pred.and_then(|e| decode_tree_entry(self.term, &e.key, &e.value));
+        self.decoded += entry.is_some() as u64 + pred.is_some() as u64;
+        Ok((entry, pred))
     }
 }
 

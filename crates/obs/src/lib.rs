@@ -50,8 +50,8 @@ pub use registry::{
     LATENCY_BUCKETS_US,
 };
 pub use trace::{
-    DegradeReason, EventData, QueryTrace, Span, SpanRecord, Stage, StageTiming, SwitchReason,
-    Trace, TraceEvent,
+    DegradeReason, EventData, QueryTrace, Span, SpanRecord, Stage, StageTiming, SwitchClock,
+    SwitchReason, Trace, TraceEvent,
 };
 pub use trace_json::{
     json_escape, render_chrome_trace, render_chrome_trace_normalized, validate_chrome_trace,

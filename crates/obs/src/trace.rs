@@ -200,6 +200,31 @@ impl SwitchReason {
     }
 }
 
+/// Which resource HDIL's Section 4.4.2 monitor measured "time" in — the
+/// unit of a switch decision's `spent`, `rdil_remaining` and
+/// `dil_estimate`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SwitchClock {
+    /// Simulated I/O cost of the pool ledger under the engine's cost
+    /// model, against the a-priori page-count estimate of a DIL scan: the
+    /// RDIL phase has paid for at least one physical read.
+    Io,
+    /// Postings decoded, against the entry count of the keywords' full
+    /// lists: every page the RDIL phase touched was already cached, so
+    /// the I/O ledger has nothing to say.
+    Work,
+}
+
+impl SwitchClock {
+    /// Stable name for rendering.
+    pub fn name(self) -> &'static str {
+        match self {
+            SwitchClock::Io => "io",
+            SwitchClock::Work => "work",
+        }
+    }
+}
+
 /// What made an evaluation stop early and return a partial result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeReason {
@@ -237,10 +262,12 @@ pub enum EventData {
         /// Results confirmed above the threshold so far.
         confirmed: usize,
     },
-    /// The HDIL switch decision, with the quantities that drove it
-    /// (simulated I/O cost units of the engine's `CostModel`).
+    /// The HDIL switch decision, with the quantities that drove it, all
+    /// in the unit of `clock`.
     Switch {
-        /// Simulated cost spent in the RDIL phase so far.
+        /// The resource the monitor measured.
+        clock: SwitchClock,
+        /// Spent in the RDIL phase so far.
         spent: f64,
         /// Estimated remaining RDIL cost (`(m-r)·t/r`), when computable.
         rdil_remaining: Option<f64>,
@@ -584,6 +611,7 @@ mod tests {
         t.event(
             Stage::SwitchDecision,
             EventData::Switch {
+                clock: SwitchClock::Io,
                 spent: 10.0,
                 rdil_remaining: Some(50.0),
                 dil_estimate: 20.0,

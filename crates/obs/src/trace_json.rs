@@ -166,12 +166,13 @@ fn event_fields(data: &EventData) -> (&str, String) {
                 fmt_f64(*threshold)
             ),
         ),
-        EventData::Switch { spent, rdil_remaining, dil_estimate, confirmed, reason } => (
+        EventData::Switch { clock, spent, rdil_remaining, dil_estimate, confirmed, reason } => (
             "hdil_switch",
             format!(
-                "{{\"reason\":\"{}\",\"spent\":{},\"rdil_remaining\":{},\
+                "{{\"reason\":\"{}\",\"clock\":\"{}\",\"spent\":{},\"rdil_remaining\":{},\
                  \"dil_estimate\":{},\"confirmed\":{confirmed}}}",
                 reason.name(),
+                clock.name(),
                 fmt_f64(*spent),
                 rdil_remaining.map_or_else(|| "null".to_string(), fmt_f64),
                 fmt_f64(*dil_estimate),
@@ -335,56 +336,54 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote or
+            // escape in one piece, validating exactly those bytes (neither
+            // delimiter can occur inside a multibyte sequence), so every
+            // input byte is looked at a constant number of times.
+            let run = self.pos;
+            while !matches!(self.peek(), Some(b'"') | Some(b'\\') | None) {
+                self.pos += 1;
+            }
+            let plain = std::str::from_utf8(&self.bytes[run..self.pos])
+                .map_err(|_| self.err("non-UTF-8 string"))?;
+            out.push_str(plain);
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("dangling escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.parse_hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect a \uXXXX low half.
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let lo = self.parse_hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("bad low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad unicode escape"))?,
-                            );
+            if b == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(self.err("dangling escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hi = self.parse_hex4()?;
+                    let code = if (0xD800..0xDC00).contains(&hi) {
+                        // Surrogate pair: expect a \uXXXX low half.
+                        self.expect(b'\\')?;
+                        self.expect(b'u')?;
+                        let lo = self.parse_hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err(self.err("bad low surrogate"));
                         }
-                        _ => return Err(self.err("unknown escape")),
-                    }
+                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                    } else {
+                        hi
+                    };
+                    out.push(char::from_u32(code).ok_or_else(|| self.err("bad unicode escape"))?);
                 }
-                _ => {
-                    // Re-sync on UTF-8 boundaries for multibyte characters.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos - 1..])
-                        .map_err(|_| self.err("non-UTF-8 string"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8() - 1;
-                }
+                _ => return Err(self.err("unknown escape")),
             }
         }
     }
@@ -615,7 +614,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceCheck, String> {
 mod tests {
     use super::*;
     use crate::recorder::{FlightRecorder, OpOutcome, RecorderConfig};
-    use crate::trace::{DegradeReason, QueryTrace, Stage, SwitchReason};
+    use crate::trace::{DegradeReason, QueryTrace, Stage, SwitchClock, SwitchReason};
 
     fn sample_records() -> Vec<FlightRecord> {
         let r = FlightRecorder::new(RecorderConfig::default());
@@ -631,6 +630,7 @@ mod tests {
         t.event(
             Stage::SwitchDecision,
             EventData::Switch {
+                clock: SwitchClock::Work,
                 spent: 4.0,
                 rdil_remaining: None,
                 dil_estimate: 2.0,
@@ -655,6 +655,7 @@ mod tests {
         assert!(check.has_cat("stage"));
         assert!(check.has_cat("event"));
         assert!(check.events >= 7);
+        assert!(json.contains("\"reason\":\"estimate_exceeded\",\"clock\":\"work\""), "{json}");
     }
 
     #[test]
@@ -706,6 +707,45 @@ mod tests {
         let json = format!("{{\"traceEvents\":[],\"x\":\"{}\"}}", json_escape(nasty));
         let doc = Parser::new(&json).parse_document().expect("parses");
         assert_eq!(doc.get("x").and_then(Json::as_str), Some(nasty));
+    }
+
+    #[test]
+    fn escapes_and_surrogate_pairs_decode_between_plain_runs() {
+        // Plain multibyte runs on both sides of every escape form, and a
+        // surrogate pair (U+1F600) spelled as two \u escapes.
+        let json = r#"{"x":"é世\u00e9界\ud83d\ude00😀\n尾"}"#;
+        let doc = Parser::new(json).parse_document().expect("parses");
+        assert_eq!(doc.get("x").and_then(Json::as_str), Some("é世é界😀😀\n尾"));
+        for bad in [r#"{"x":"\ud83d"}"#, r#"{"x":"\ud83d\u0041"}"#, r#"{"x":"\u00e"}"#, r#"{"x":"é"#] {
+            assert!(Parser::new(bad).parse_document().is_err(), "{bad}");
+        }
+    }
+
+    /// The string parser once re-validated the whole remaining input per
+    /// plain character, so a trace of a few megabytes took minutes.
+    #[test]
+    fn validating_a_multi_megabyte_trace_is_linear() {
+        let mut json = String::from("{\"traceEvents\":[\n");
+        let mut ts = 0u64;
+        while json.len() < 2 * 1024 * 1024 {
+            if ts > 0 {
+                json.push_str(",\n");
+            }
+            let _ = write!(
+                json,
+                "{{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":{ts},\"dur\":5,\
+                 \"name\":\"query[hdil] \\\"é世界 {ts}\\\"\",\"cat\":\"stage\"}}"
+            );
+            ts += 10;
+        }
+        json.push_str("\n]}");
+        let start = std::time::Instant::now();
+        let check = validate_chrome_trace(&json).expect("valid");
+        let took = start.elapsed();
+        assert_eq!(check.events as u64, ts / 10);
+        // Linear parsing takes tens of milliseconds here, even unoptimized;
+        // the quadratic parser needed minutes.
+        assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
     }
 
     #[test]

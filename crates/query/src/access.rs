@@ -30,6 +30,9 @@ pub trait ProbeCursor<S: PageStore> {
     /// Probe counters so far
     /// (`probes = seeks_forward + seeks_backward + descents`).
     fn stats(&self) -> CursorStats;
+
+    /// Posting entries the probes so far decoded to find their answers.
+    fn postings_decoded(&self) -> u64;
 }
 
 impl<S: PageStore> ProbeCursor<S> for RdilProbeCursor {
@@ -44,6 +47,10 @@ impl<S: PageStore> ProbeCursor<S> for RdilProbeCursor {
     fn stats(&self) -> CursorStats {
         RdilProbeCursor::stats(self)
     }
+
+    fn postings_decoded(&self) -> u64 {
+        RdilProbeCursor::postings_decoded(self)
+    }
 }
 
 impl<S: PageStore> ProbeCursor<S> for HdilProbeCursor {
@@ -57,6 +64,10 @@ impl<S: PageStore> ProbeCursor<S> for HdilProbeCursor {
 
     fn stats(&self) -> CursorStats {
         HdilProbeCursor::stats(self)
+    }
+
+    fn postings_decoded(&self) -> u64 {
+        HdilProbeCursor::postings_decoded(self)
     }
 }
 
@@ -123,13 +134,14 @@ pub trait RankedAccess<S: PageStore> {
         target: &DeweyId,
     ) -> StorageResult<(Option<Posting>, Option<Posting>)>;
 
-    /// Range scan: all postings of `term` under `prefix`.
+    /// Range scan: all postings of `term` under `prefix`, and the number
+    /// of entries decoded to produce them.
     fn prefix_postings(
         &self,
         pool: &BufferPool<S>,
         term: TermId,
         prefix: &DeweyId,
-    ) -> StorageResult<Vec<Posting>>;
+    ) -> StorageResult<(Vec<Posting>, u64)>;
 }
 
 impl<S: PageStore> RankedAccess<S> for RdilIndex {
@@ -169,8 +181,11 @@ impl<S: PageStore> RankedAccess<S> for RdilIndex {
         pool: &BufferPool<S>,
         term: TermId,
         prefix: &DeweyId,
-    ) -> StorageResult<Vec<Posting>> {
-        RdilIndex::prefix_postings(self, pool, term, prefix)
+    ) -> StorageResult<(Vec<Posting>, u64)> {
+        // A B+-tree range scan decodes exactly the entries in range.
+        let postings = RdilIndex::prefix_postings(self, pool, term, prefix)?;
+        let decoded = postings.len() as u64;
+        Ok((postings, decoded))
     }
 }
 
@@ -211,7 +226,7 @@ impl<S: PageStore> RankedAccess<S> for HdilIndex {
         pool: &BufferPool<S>,
         term: TermId,
         prefix: &DeweyId,
-    ) -> StorageResult<Vec<Posting>> {
+    ) -> StorageResult<(Vec<Posting>, u64)> {
         HdilIndex::prefix_postings(self, pool, term, prefix)
     }
 }

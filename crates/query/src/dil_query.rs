@@ -252,6 +252,7 @@ pub fn evaluate_traced<S: PageStore>(
     for reader in &readers {
         stats.blocks_decoded += reader.blocks_decoded();
         stats.blocks_skipped += reader.blocks_skipped();
+        stats.postings_decoded += reader.decoded();
     }
     trace.event(
         Stage::DeweyMerge,

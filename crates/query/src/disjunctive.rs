@@ -110,6 +110,7 @@ pub fn evaluate_traced<S: PageStore>(
         }
     }
     drop(union_span);
+    stats.postings_decoded = readers.iter().map(|(_, r)| r.decoded()).sum();
     trace.event(
         Stage::UnionMerge,
         EventData::Count { what: "entries_scanned", n: stats.entries_scanned },

@@ -246,6 +246,12 @@ pub struct EvalStats {
     /// Compressed list blocks skipped whole — their skip entry proved no
     /// needed posting could live inside, so they were never decoded.
     pub blocks_skipped: u64,
+    /// Posting entries decoded off list pages and B+-tree leaves, whether
+    /// or not the algorithm went on to use them: entries a reader yielded
+    /// or dropped while seeking, entries a probe's block scan passed, and
+    /// the entries a range scan read. HDIL's monitor uses it as its clock
+    /// when the pool is warm (see [`SwitchDecision::clock`]).
+    pub postings_decoded: u64,
     /// Prefix range scans issued.
     pub range_scans: u64,
     /// HDIL only: the adaptive strategy abandoned RDIL for DIL.
@@ -257,19 +263,23 @@ pub struct EvalStats {
 }
 
 /// Why (and with which numbers) HDIL abandoned RDIL for DIL — the
-/// Section 4.4.2 decision, made auditable. All costs are simulated I/O
-/// units of the engine's `CostModel`, the same quantity Figures 10–11
-/// plot.
+/// Section 4.4.2 decision, made auditable. `spent`, `rdil_remaining` and
+/// `dil_estimate` are all in the unit of `clock`: simulated I/O units of
+/// the engine's `CostModel` (the quantity Figures 10–11 plot) when the
+/// RDIL phase did physical reads, postings decoded when it did none.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchDecision {
-    /// Simulated cost spent in the RDIL phase when the decision fired.
+    /// The resource the monitor measured.
+    pub clock: xrank_obs::SwitchClock,
+    /// Spent in the RDIL phase when the decision fired.
     pub spent: f64,
     /// The `(m-r)·t/r` estimate of the remaining RDIL cost; `None` when
     /// no result had been confirmed yet (the estimate is undefined) or
     /// when the switch was forced by prefix exhaustion.
     pub rdil_remaining: Option<f64>,
-    /// The a-priori DIL cost estimate (seeks + sequential scans over the
-    /// keyword lists' pages).
+    /// The a-priori DIL cost estimate: seeks + sequential scans over the
+    /// keyword lists' pages on the I/O clock, the lists' entry count on
+    /// the work clock.
     pub dil_estimate: f64,
     /// Results confirmed above the TA threshold at the decision point.
     pub confirmed: usize,

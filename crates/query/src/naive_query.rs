@@ -119,6 +119,7 @@ pub fn evaluate_id_traced<S: PageStore>(
     for r in &readers {
         stats.blocks_decoded += r.blocks_decoded();
         stats.blocks_skipped += r.blocks_skipped();
+        stats.postings_decoded += r.decoded();
     }
     trace.event(
         Stage::MergeJoin,
@@ -219,6 +220,7 @@ pub fn evaluate_rank_traced<S: PageStore>(
                 drop(probe_span);
                 match probed {
                     Some((rank, positions)) => {
+                        stats.postings_decoded += 1;
                         group.push(NaivePosting { elem: current.elem, rank, positions })
                     }
                     None => {
@@ -256,6 +258,7 @@ pub fn evaluate_rank_traced<S: PageStore>(
     for r in &readers {
         stats.blocks_decoded += r.blocks_decoded();
         stats.blocks_skipped += r.blocks_skipped();
+        stats.postings_decoded += r.decoded();
     }
     guard.note(trace);
 

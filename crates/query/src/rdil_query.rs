@@ -198,12 +198,18 @@ impl<'a, S: PageStore, A: RankedAccess<S>> RdilRun<'a, S, A> {
     }
 
     /// Work counters so far, including the readers' block decode/skip
-    /// tallies (collected on demand — the readers own the live counts).
+    /// tallies and the readers' and cursors' decode counts (collected on
+    /// demand — they own the live counts; range scans are tallied as they
+    /// run).
     pub fn stats(&self) -> EvalStats {
         let mut s = self.stats;
         for r in &self.readers {
             s.blocks_decoded += r.blocks_decoded();
             s.blocks_skipped += r.blocks_skipped();
+            s.postings_decoded += r.decoded();
+        }
+        for c in &self.cursors {
+            s.postings_decoded += c.postings_decoded();
         }
         s
     }
@@ -396,7 +402,9 @@ pub(crate) fn score_candidate<S: PageStore, A: RankedAccess<S>>(
     let mut per_kw: Vec<Vec<Posting>> = Vec::with_capacity(n);
     for &t in terms {
         stats.range_scans += 1;
-        per_kw.push(access.prefix_postings(pool, t, lcp)?);
+        let (postings, decoded) = access.prefix_postings(pool, t, lcp)?;
+        stats.postings_decoded += decoded;
+        per_kw.push(postings);
     }
     drop(scan_span);
 

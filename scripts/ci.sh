@@ -38,6 +38,14 @@ echo "== probe-path smoke (RDIL cursor/memo descent reduction) =="
 BENCH_THROUGHPUT_QUICK=1 cargo run --release --offline -p xrank-bench \
     --bin e8_throughput
 
+echo "== regression benchmark: unit + 200-document smoke suite =="
+# The benchmark is a package of its own that calls the library through
+# the public surface listed in benchmark/README.md; a change that breaks
+# that surface must fail here, not in the pipeline. Output goes to the
+# git-ignored .bench_build/ and benchmark/out/ only.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline -q \
+    --manifest-path benchmark/Cargo.toml
+
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
