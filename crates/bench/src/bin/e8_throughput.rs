@@ -237,7 +237,7 @@ fn probe_stats_json(eval: &EvalStats, queries: usize) -> String {
 /// unless (a) the cursor + memo path absorbed ≥ 10× of the descents the
 /// pre-cursor path would have issued, (b) the block format compresses
 /// the DIL lists ≥ 2× against the flat baseline, and (c) cold-replay
-/// logical reads stay at or under the pre-compression (v1) baselines —
+/// logical reads stay at or under the uncompressed-list baselines —
 /// the read ceilings only apply at the default corpus size they were
 /// measured at. No timed trials — this gates deterministic shape, not
 /// QPS.
@@ -279,8 +279,8 @@ fn quick_smoke() {
     // first descent (unavoidable: an empty cursor has nothing pinned)
     // weighs proportionally more — gate it at 5× where RDIL, which runs
     // the TA loop to completion, must clear the full 10×. The read
-    // ceilings are the uncompressed (v1) cold-replay logical reads
-    // measured on dblp(600) just before the format bump: the compressed
+    // ceilings are the cold-replay logical reads measured on dblp(600)
+    // with uncompressed lists, before the block format: the compressed
     // format must never read more than flat storage did.
     for (strategy, floor, read_ceiling) in [
         (Strategy::Dil, 0.0, 20u64),
@@ -291,7 +291,7 @@ fn quick_smoke() {
         let reads = cold.logical_reads();
         let reads_ok = publications != 600 || reads <= read_ceiling;
         println!(
-            "  {}: cold logical_reads={reads} (v1 ceiling {read_ceiling}{}) \
+            "  {}: cold logical_reads={reads} (flat ceiling {read_ceiling}{}) \
              blocks decoded={} skipped={} — {}",
             strategy_label(strategy),
             if publications == 600 { "" } else { ", not gated at this corpus size" },
@@ -332,7 +332,7 @@ fn quick_smoke() {
     }
     println!(
         "quick smoke passed: descents absorbed, lists ≥ 2x compressed, cold \
-         reads within the v1 budget"
+         reads within the flat-storage budget"
     );
 }
 

@@ -178,9 +178,13 @@ impl EngineBuilder {
 
     /// Resolves links, computes ElemRank, and builds the indexes
     /// in memory.
+    ///
+    /// Panics on a document nested so deeply (thousands of levels) that
+    /// one Dewey ID exceeds a page; [`EngineBuilder::build_with_store`]
+    /// reports that as a typed error instead.
     pub fn build(self) -> XRankEngine {
         self.build_with_store(MemStore::new())
-            .expect("in-memory index build cannot hit I/O faults")
+            .expect("in-memory build: no I/O faults, and every posting fits a page")
     }
 
     /// Builds into a persistent directory with a crash-safe commit: index

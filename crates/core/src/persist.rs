@@ -14,11 +14,14 @@
 //! A crash before the first rename leaves the previous `store/` intact; a
 //! crash between the renames leaves `store.old/` intact; after the second
 //! rename the new `store/` is complete. [`XRankEngine::open`] resolves in
-//! that order (`store/`, then `store.old/`, then the pre-crash-safety
-//! layout with the meta file beside `store/`), so *some* complete index is
+//! that order (`store/`, then `store.old/`), so *some* complete index is
 //! always openable. Opening also verifies every page checksum so that
 //! silent on-disk corruption fails loudly at open instead of poisoning
 //! queries later.
+//!
+//! The meta file is `XRKE`, a `u32` version, then the sections written by
+//! [`XRankEngine::write_meta_file`] in order. Exactly one version is read;
+//! any other is refused with an error naming both.
 //!
 //! Settings that shape the *stored* data (rank parameters, weighting,
 //! which indexes were built) are baked into the files; settings that only
@@ -36,14 +39,9 @@ use xrank_storage::wire::{get_f64, get_u32, get_u64, put_f64, put_u32, put_u64};
 use xrank_storage::{BufferPool, FileStore, PageStore};
 
 const MAGIC: &[u8; 4] = b"XRKE";
-/// Current meta-file version. v2 engines store checksummed pages and keep
-/// the meta file inside the store directory; v3 engines write
-/// block-compressed posting pages with per-list skip tables (the list
-/// table tags each list with its page format, so stores holding
-/// uncompressed lists keep opening and serving unchanged). All older metas
-/// are still readable.
-const VERSION: u32 = 3;
-const OLDEST_READABLE_VERSION: u32 = 1;
+/// The meta-file version this build writes and reads (4: HDIL's record
+/// is its Dewey lists and rank prefixes, with no interior levels).
+const VERSION: u32 = 4;
 
 /// The live store directory under the engine dir.
 pub(crate) const STORE_DIR: &str = "store";
@@ -51,8 +49,7 @@ pub(crate) const STORE_DIR: &str = "store";
 pub(crate) const STORE_TMP: &str = "store.tmp";
 /// Where the previous index sits between the two commit renames.
 pub(crate) const STORE_OLD: &str = "store.old";
-/// The metadata file name (inside the store directory for v2 layouts,
-/// beside it for legacy v1 layouts).
+/// The metadata file name (inside the store directory).
 pub(crate) const META_FILE: &str = "xrank-meta.bin";
 
 fn bad(msg: &str) -> io::Error {
@@ -81,10 +78,9 @@ pub(crate) fn commit_store_swap(dir: &Path) -> io::Result<()> {
     }
     std::fs::rename(&tmp, &live)?;
     fsync_dir(dir)?;
-    // The commit has landed; the previous index and any legacy-layout meta
-    // beside the store directory are now superseded. Best-effort cleanup.
+    // The commit has landed; the previous index is superseded.
+    // Best-effort cleanup.
     let _ = std::fs::remove_dir_all(&old);
-    let _ = std::fs::remove_file(dir.join(META_FILE));
     Ok(())
 }
 
@@ -146,40 +142,35 @@ impl XRankEngine<FileStore> {
     pub fn open(dir: impl AsRef<Path>, config: EngineConfig) -> io::Result<Self> {
         let dir = dir.as_ref();
         // Resolution order mirrors the commit protocol: the live store,
-        // then the pre-commit snapshot a crash may have stranded, then the
-        // legacy layout (meta beside the store directory).
-        let candidates = [
-            (dir.join(STORE_DIR), dir.join(STORE_DIR).join(META_FILE)),
-            (dir.join(STORE_OLD), dir.join(STORE_OLD).join(META_FILE)),
-            (dir.join(STORE_DIR), dir.join(META_FILE)),
-        ];
-        let Some((store_dir, meta_path)) =
-            candidates.into_iter().find(|(_, meta)| meta.is_file())
+        // then the pre-commit snapshot a crash may have stranded.
+        let Some(store_dir) = [dir.join(STORE_DIR), dir.join(STORE_OLD)]
+            .into_iter()
+            .find(|store| store.join(META_FILE).is_file())
         else {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!(
-                    "no xrank index under {}: expected {STORE_DIR}/{META_FILE}, \
-                     {STORE_OLD}/{META_FILE}, or legacy {META_FILE}",
+                    "no xrank index under {}: expected {STORE_DIR}/{META_FILE} or \
+                     {STORE_OLD}/{META_FILE}",
                     dir.display()
                 ),
             ));
         };
-        Self::open_at(&store_dir, &meta_path, config)
+        Self::open_at(&store_dir, config)
     }
 
-    fn open_at(store_dir: &Path, meta_path: &Path, config: EngineConfig) -> io::Result<Self> {
-        let mut r = BufReader::new(std::fs::File::open(meta_path)?);
+    fn open_at(store_dir: &Path, config: EngineConfig) -> io::Result<Self> {
+        let mut r = BufReader::new(std::fs::File::open(store_dir.join(META_FILE))?);
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
             return Err(bad("bad magic"));
         }
         let version = get_u32(&mut r)?;
-        if !(OLDEST_READABLE_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(bad(&format!(
-                "unsupported version {version} (this build reads \
-                 {OLDEST_READABLE_VERSION}..={VERSION})"
+                "unsupported version {version} (this build reads version {VERSION} only; \
+                 rebuild the index from source)"
             )));
         }
 
@@ -199,7 +190,7 @@ impl XRankEngine<FileStore> {
         let ranks = RankResult { scores, iterations, converged, residual };
 
         let n_html = get_u32(&mut r)?;
-        let mut html_docs = HashSet::with_capacity(n_html as usize);
+        let mut html_docs = HashSet::with_capacity(n_html.min(1 << 20) as usize);
         for _ in 0..n_html {
             html_docs.insert(get_u32(&mut r)?);
         }

@@ -74,6 +74,27 @@ fn strategies_agree_on_results() {
     }
 }
 
+/// An element repeating one word thousands of times in its own text used
+/// to produce a posting larger than a list page and panic the build.
+#[test]
+fn heavily_repeated_word_builds_and_is_found() {
+    let mut b = EngineBuilder::with_config(EngineConfig {
+        with_rdil: true,
+        with_naive: true,
+        ..Default::default()
+    });
+    b.add_xml("workshop", WORKSHOP).unwrap();
+    b.add_xml("zeros", &format!("<doc><p>{}</p></doc>", "zero ".repeat(6000))).unwrap();
+    let e = b.build();
+    let opts = QueryOptions { top_m: 10, ..Default::default() };
+    for strategy in [Strategy::Dil, Strategy::Rdil, Strategy::Hdil] {
+        let res = e.search_with("zero", strategy, &opts).unwrap();
+        assert_eq!(res.hits.len(), 1, "{strategy:?}");
+        assert_eq!(res.hits[0].doc_uri, "zeros");
+        assert_eq!(res.hits[0].path.last().map(String::as_str), Some("p"));
+    }
+}
+
 #[test]
 fn naive_strategies_include_spurious_ancestors() {
     let e = full_engine();

@@ -134,16 +134,50 @@ fn truncated_meta_is_rejected() {
 }
 
 #[test]
-fn future_version_is_rejected_with_descriptive_error() {
-    let dir = tempdir("futurever");
+fn other_meta_versions_are_rejected_naming_both_versions() {
+    let dir = tempdir("otherver");
     drop(build_persistent(&dir, false));
     let meta = dir.join("store").join("xrank-meta.bin");
     let mut bytes = std::fs::read(&meta).unwrap();
-    bytes[4..8].copy_from_slice(&99u32.to_le_bytes()); // version after magic
+    assert_eq!(bytes[4..8], 4u32.to_le_bytes(), "the version this build writes");
+    // The three retired versions and one from the future.
+    for version in [1u32, 2, 3, 99] {
+        bytes[4..8].copy_from_slice(&version.to_le_bytes()); // version after magic
+        std::fs::write(&meta, &bytes).unwrap();
+        let err = XRankEngine::open(&dir, EngineConfig::default()).err().expect("must fail");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("version {version} ")) && msg.contains("reads version 4 only"),
+            "undescriptive error: {msg}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The meta file carries no checksum, so its counts are unchecked input:
+/// a flipped one must end in an error, not in a 100 GB allocation.
+#[test]
+fn flipped_list_table_count_is_an_error_not_an_abort() {
+    let dir = tempdir("hugecount");
+    let built = build_persistent(&dir, false);
+    let collection = built.collection();
+    let mut serialized = Vec::new();
+    collection.write_to(&mut serialized).unwrap();
+    // magic + version, collection, rank vector (count, scores, iterations,
+    // converged, residual), HTML set (count, one page), DIL segment id.
+    let dil_count_at =
+        8 + serialized.len() + (8 + 8 * collection.element_count() + 4 + 4 + 8) + (4 + 4) + 4;
+    let terms = collection.vocabulary().len() as u32;
+    drop(built);
+
+    let meta = dir.join("store").join("xrank-meta.bin");
+    let mut bytes = std::fs::read(&meta).unwrap();
+    let count = &mut bytes[dil_count_at..dil_count_at + 4];
+    assert_eq!(count, terms.to_le_bytes(), "the DIL list table has one slot per term");
+    count.copy_from_slice(&u32::MAX.to_le_bytes());
     std::fs::write(&meta, &bytes).unwrap();
-    let err = XRankEngine::open(&dir, EngineConfig::default()).err().expect("must fail");
-    let msg = err.to_string();
-    assert!(msg.contains("version") && msg.contains("99"), "undescriptive error: {msg}");
+    assert!(XRankEngine::open(&dir, EngineConfig::default()).is_err());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -211,21 +245,6 @@ fn crash_between_save_and_rename_leaves_previous_index_openable() {
     // Recovery by a fresh save cleans up all crash debris.
     drop(build_persistent(&dir, false));
     assert!(!dir.join("store.tmp").exists(), "staging dir must be consumed");
-    let e = XRankEngine::open(&dir, EngineConfig::default()).unwrap();
-    assert!(!e.search("xql language", 10).unwrap().hits.is_empty());
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn legacy_v1_layout_still_opens() {
-    let dir = tempdir("legacy");
-    drop(build_persistent(&dir, false));
-    // Reshape into the pre-crash-safety layout: meta beside the store dir.
-    std::fs::rename(
-        dir.join("store").join("xrank-meta.bin"),
-        dir.join("xrank-meta.bin"),
-    )
-    .unwrap();
     let e = XRankEngine::open(&dir, EngineConfig::default()).unwrap();
     assert!(!e.search("xql language", 10).unwrap().hits.is_empty());
     std::fs::remove_dir_all(&dir).unwrap();

@@ -29,6 +29,32 @@ fn staged_docs_invisible_until_commit() {
     assert_eq!(e.search("alpha", 10).unwrap().hits.len(), 2); // title + body
 }
 
+/// A document whose one posting used to exceed a list page: `add_xml`
+/// WAL-logged and acknowledged it, then every `commit` (and every reopen,
+/// which replays the log) hit the packer's assertion.
+#[test]
+fn heavily_repeated_word_commits_durably_and_is_found() {
+    let dir = std::env::temp_dir().join(format!("xrank-updates-zeros-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let xml = format!("<doc><p>{}</p></doc>", "zero ".repeat(6000));
+    {
+        let e = UpdatableXRank::open(&dir, EngineConfig::default()).unwrap();
+        e.add_xml("zeros", &xml).unwrap();
+        assert_eq!(e.commit().unwrap().docs_added, 1);
+        assert_eq!(e.search("zero", 10).unwrap().hits.len(), 1);
+        // Logged but not yet committed: the reopen below replays it.
+        e.add_xml("more", &xml).unwrap();
+    }
+    let e = UpdatableXRank::open(&dir, EngineConfig::default()).unwrap();
+    e.commit().unwrap();
+    let hits = e.search("zero", 10).unwrap().hits;
+    let mut uris: Vec<&str> = hits.iter().map(|h| h.doc_uri.as_str()).collect();
+    uris.sort_unstable();
+    assert_eq!(uris, ["more", "zeros"]);
+    drop(e);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn empty_commit_is_a_no_op() {
     let e = engine_with(&[("a", "alpha")]);

@@ -1,7 +1,7 @@
-//! v2 block codec for compressed posting pages, plus the per-list skip
-//! table that makes the blocks seekable.
+//! Block codec for compressed posting pages, plus the per-list skip table
+//! that makes the blocks seekable.
 //!
-//! A v2 list page body is a run of *blocks*:
+//! A list page body is a run of *blocks*:
 //! `[count: varint ≤ 127] [rank_n: varint] [f32 LE × rank_n]` followed by
 //! `count` entries whose Dewey IDs are delta-encoded against the previous
 //! entry *in the same block* (the first entry of every block is a
@@ -12,9 +12,8 @@
 //! decoding the ones before it, and a TA loop can reject a whole block on
 //! its `max_rank` without touching the page.
 //!
-//! The entry header packs the delta description into a single byte for
-//! the common case. Where v1 spent two varints (shared prefix length +
-//! suffix length, each typically one byte), v2 packs both into one
+//! The entry header packs the delta description — shared prefix length
+//! and suffix length — into a single byte for the common case: one
 //! ordered varint `h = (min(suffix_len, 15) << 3) | min(shared, 7)`:
 //! `h ≤ 127` always encodes as one byte, and the rare deep/long cases
 //! escape — a shared field of 7 means the true shared length follows as
@@ -24,7 +23,7 @@
 //! differ first in the document ordinal, whose *gap* is small); remaining
 //! components are absolute varints. Rank bit patterns are stored exactly
 //! (rankings must be bit-identical to the uncompressed path); positions
-//! keep the v1 delta-varint form.
+//! are delta varints ([`posting::encode_positions`]).
 
 use crate::posting::{self, Posting};
 use xrank_dewey::codec::{self, DecodeError};
@@ -78,7 +77,7 @@ fn read_zigzag(buf: &[u8]) -> Result<(i64, usize), DecodeError> {
 }
 
 /// Encodes `cur` against `prev` (the previous entry in the block; `None`
-/// at a block restart) using the packed v2 header. The first suffix
+/// at a block restart) using the packed header. The first suffix
 /// component is written as a zigzag delta against `prev`'s component at
 /// the same depth when one exists — adjacent entries in a Dewey-sorted
 /// list differ first in the document ordinal, whose gap is tiny compared
@@ -128,7 +127,7 @@ pub fn dewey_len(prev: Option<&DeweyId>, cur: &DeweyId) -> usize {
     len
 }
 
-/// Decodes one v2 Dewey delta. Inverse of [`encode_dewey`].
+/// Decodes one Dewey delta. Inverse of [`encode_dewey`].
 pub fn decode_dewey(prev: Option<&DeweyId>, buf: &[u8]) -> Result<(DeweyId, usize), DecodeError> {
     let mut components = Vec::new();
     let prev = prev.map_or(&[][..], |p| p.components());
@@ -153,7 +152,7 @@ pub fn decode_dewey_into(
     })
 }
 
-/// The one v2 Dewey-delta decoder; `make_room(out, n)` leaves `out` empty
+/// The one Dewey-delta decoder; `make_room(out, n)` leaves `out` empty
 /// with room for the ID's `n` components.
 #[inline(always)]
 fn decode_dewey_with(
@@ -264,7 +263,7 @@ impl RankDict {
     }
 }
 
-/// Encodes one v2 posting entry: Dewey delta, rank-dictionary index, then
+/// Encodes one posting entry: Dewey delta, rank-dictionary index, then
 /// the positions payload. The rank is interned into `dict` (written once
 /// per distinct rank in the block prefix, not per entry).
 pub fn encode_entry(prev: Option<&DeweyId>, p: &Posting, dict: &mut RankDict, out: &mut Vec<u8>) {
@@ -280,8 +279,8 @@ pub fn entry_len(prev: Option<&DeweyId>, p: &Posting) -> usize {
     dewey_len(prev, &p.dewey) + 1 + posting::positions_len(&p.positions)
 }
 
-/// Decodes one v2 posting entry against the block's rank dictionary
-/// (`elem` comes back as 0, as in v1).
+/// Decodes one posting entry against the block's rank dictionary
+/// (`elem` is not stored and comes back as 0).
 pub fn decode_entry(
     prev: Option<&DeweyId>,
     ranks: &[f32],
@@ -328,6 +327,11 @@ impl SkipTable {
         idx.checked_sub(1)
     }
 
+    /// Bytes [`SkipTable::write`] produces.
+    pub fn serialized_len(&self) -> u64 {
+        4 + self.blocks.iter().map(|b| 8 + b.first_key.len() as u64 + 12).sum::<u64>()
+    }
+
     /// Serializes the table.
     pub fn write<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
         wire::put_u32(w, self.blocks.len() as u32)?;
@@ -363,8 +367,9 @@ impl SkipTable {
 
 /// Decodes one block (count varint + rank dictionary + entries) starting
 /// at `buf[off..]`. Appends the postings to `out` and returns the offset
-/// just past the block. Used by the page-granular decoders; streaming
-/// readers decode entry-at-a-time instead.
+/// just past the block. The whole-block reference decoder: the streaming
+/// reader and the block scan decode entry-at-a-time instead, and their
+/// tests compare against this.
 pub fn decode_block(buf: &[u8], mut off: usize, out: &mut Vec<Posting>) -> StorageResult<usize> {
     let (count, n) = codec::read_component(
         buf.get(off..).ok_or_else(|| StorageError::corrupt("block count overruns page"))?,
@@ -549,6 +554,7 @@ mod tests {
         };
         let mut buf = Vec::new();
         t.write(&mut buf).unwrap();
+        assert_eq!(buf.len() as u64, t.serialized_len());
         let back = SkipTable::read(&mut buf.as_slice()).unwrap();
         assert_eq!(back, t);
 
@@ -564,6 +570,7 @@ mod tests {
         let t = SkipTable::default();
         let mut buf = Vec::new();
         t.write(&mut buf).unwrap();
+        assert_eq!(buf.len() as u64, t.serialized_len());
         assert_eq!(SkipTable::read(&mut buf.as_slice()).unwrap(), t);
         assert_eq!(t.last_leq(b"anything"), None);
     }

@@ -6,16 +6,11 @@
 //! ancestors are implicit in the Dewey encoding, the list is much smaller
 //! than the naive one — Table 1's headline result.
 
-use crate::listio::{self, DeweyListWrite, ListInfo, ListKind, ListMeta, ListReader};
+use crate::listio::{self, ListInfo, ListMeta, ListReader, PostingCodec};
 use crate::posting::Posting;
 use crate::SpaceBreakdown;
 use xrank_graph::TermId;
 use xrank_storage::{BufferPool, PageStore, SegmentId, StorageResult, PAGE_SIZE};
-
-/// Per-term `(first_key, page)` directories captured while writing lists
-/// (one vector per term, in term order) — the input HDIL's interior
-/// builder consumes.
-pub type PageFirstTables = Vec<Vec<(Vec<u8>, u32)>>;
 
 /// A built DIL: one Dewey-sorted list per term, packed into one segment.
 #[derive(Debug)]
@@ -32,49 +27,37 @@ impl DilIndex {
         pool: &mut BufferPool<S>,
         postings: &[Vec<Posting>],
     ) -> StorageResult<DilIndex> {
-        let (index, _) = Self::build_capturing(pool, postings, PAGE_SIZE)?;
-        Ok(index)
+        Self::build_with(pool, postings, PAGE_SIZE)
     }
 
     /// As [`DilIndex::build`] with an explicit per-page byte budget (the
     /// experiment harness's dataset-scale emulation knob; see
-    /// [`crate::listio::write_dewey_list_budgeted`]).
+    /// [`crate::listio::write_list`]).
     pub fn build_with<S: PageStore>(
         pool: &mut BufferPool<S>,
         postings: &[Vec<Posting>],
         page_budget: usize,
     ) -> StorageResult<DilIndex> {
-        let (index, _) = Self::build_capturing(pool, postings, page_budget)?;
-        Ok(index)
-    }
-
-    /// As [`DilIndex::build`], also returning each list's per-page first
-    /// keys — HDIL builds its interior B+-tree levels over these
-    /// (Section 4.4.1).
-    pub fn build_capturing<S: PageStore>(
-        pool: &mut BufferPool<S>,
-        postings: &[Vec<Posting>],
-        page_budget: usize,
-    ) -> StorageResult<(DilIndex, PageFirstTables)> {
         let segment = pool.store_mut().create_segment()?;
         let mut lists = Vec::with_capacity(postings.len());
-        let mut firsts = Vec::with_capacity(postings.len());
         for term_postings in postings {
             if term_postings.is_empty() {
                 lists.push(None);
-                firsts.push(Vec::new());
                 continue;
             }
             debug_assert!(
                 term_postings.windows(2).all(|w| w[0].dewey < w[1].dewey),
                 "DIL postings must be strictly Dewey-ascending"
             );
-            let DeweyListWrite { info, page_firsts } =
-                listio::write_dewey_list_budgeted(pool, segment, term_postings, page_budget)?;
-            lists.push(Some(info));
-            firsts.push(page_firsts);
+            lists.push(Some(listio::write_list(
+                pool,
+                segment,
+                PostingCodec,
+                term_postings,
+                page_budget,
+            )?));
         }
-        Ok((DilIndex { segment, lists }, firsts))
+        Ok(DilIndex { segment, lists })
     }
 
     /// Metadata of a term's list.
@@ -82,7 +65,7 @@ impl DilIndex {
         self.info(term).map(|i| i.meta)
     }
 
-    /// Full list info (meta + format + skip table) of a term's list.
+    /// Full list info (meta + skip table) of a term's list.
     pub fn info(&self, term: TermId) -> Option<&ListInfo> {
         self.lists.get(term.index()).and_then(|i| i.as_ref())
     }
@@ -90,7 +73,7 @@ impl DilIndex {
     /// Streaming reader over a term's list (Dewey order).
     pub fn reader(&self, term: TermId) -> Option<ListReader> {
         self.info(term)
-            .map(|info| ListReader::new(self.segment, info, ListKind::Dewey))
+            .map(|info| ListReader::new(self.segment, info, PostingCodec))
     }
 
     /// Table 1 space: DIL is lists only. Byte-granular (page padding
@@ -104,10 +87,22 @@ impl DilIndex {
         self.lists.iter().flatten().map(|i| i.meta.used_bytes).sum()
     }
 
+    /// Serialized size of the skip tables of lists with more than one
+    /// block — the part of the list directory that serves HDIL as the
+    /// non-leaf levels of its per-keyword B+-trees.
+    pub fn skip_index_bytes(&self) -> u64 {
+        self.lists
+            .iter()
+            .flatten()
+            .filter(|i| i.skip.blocks.len() > 1)
+            .map(|i| i.skip.serialized_len())
+            .sum()
+    }
+
     /// Bytes the same postings would occupy uncompressed — every entry in
     /// the fixed-width layout the paper's C++ implementation stores (and
-    /// the layout [`crate::listio::write_dewey_list_budgeted`]'s budget
-    /// knob emulates): a full `u32` per Dewey component plus a 4-byte
+    /// the layout [`crate::listio::write_list`]'s budget knob
+    /// emulates): a full `u32` per Dewey component plus a 4-byte
     /// rank, 4-byte position count and 4 bytes per position, no deltas,
     /// no varints, no block framing. This is the baseline the E8
     /// `storage_bytes` report measures the block format's compression
@@ -116,7 +111,7 @@ impl DilIndex {
     pub fn flat_bytes<S: PageStore>(&self, pool: &BufferPool<S>) -> StorageResult<u64> {
         let mut total = 0u64;
         for info in self.lists.iter().flatten() {
-            let mut r = ListReader::new(self.segment, info, ListKind::Dewey);
+            let mut r = ListReader::new(self.segment, info, PostingCodec);
             while let Some(p) = r.next(pool)? {
                 total += 4 * p.dewey.components().len() as u64
                     + 4

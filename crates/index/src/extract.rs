@@ -16,13 +16,13 @@ use crate::posting::{NaivePosting, Posting};
 use std::collections::BTreeMap;
 use xrank_graph::{Collection, ElemId, TermId};
 
-/// Cap on positions stored per naive posting. An ancestor entry near the
-/// root of a large document unions *every* descendant occurrence (the
-/// pathology of the naive scheme); unbounded lists would not even fit a
-/// disk page. The first `MAX_NAIVE_POSITIONS` document-order positions are
-/// kept — enough for the proximity window of any query that the naive
-/// scheme would rank meaningfully.
-pub const MAX_NAIVE_POSITIONS: usize = 512;
+/// Cap on positions stored per posting. An ancestor entry of the naive
+/// scheme near the root of a large document unions *every* descendant
+/// occurrence, and an element may repeat one word thousands of times in
+/// its own text; unbounded, either would not fit a disk page. The first
+/// `MAX_POSITIONS` document-order positions are kept — enough for the
+/// proximity window of any query that would rank the entry meaningfully.
+pub const MAX_POSITIONS: usize = 512;
 
 /// How a posting's rank field is derived. The paper ranks by ElemRank but
 /// notes its index structures and algorithms "are applicable to other ways
@@ -81,6 +81,10 @@ pub fn direct_postings_weighted(
         RankWeighting::Blend(alpha) => {
             apply_weighting(&mut lists, collection, scores, alpha.clamp(0.0, 1.0))
         }
+    }
+    // Only now: tf-idf above reads the full occurrence count.
+    for p in lists.iter_mut().flatten() {
+        p.positions.truncate(MAX_POSITIONS);
     }
     lists
 }
@@ -153,7 +157,7 @@ pub fn naive_postings(collection: &Collection, scores: &[f64]) -> Vec<Vec<NaiveP
                 .map(|(elem, mut positions)| {
                     positions.sort_unstable();
                     positions.dedup();
-                    positions.truncate(MAX_NAIVE_POSITIONS);
+                    positions.truncate(MAX_POSITIONS);
                     NaivePosting { elem, rank: scores[elem as usize] as f32, positions }
                 })
                 .collect()
@@ -234,6 +238,26 @@ mod tests {
         let mut asc = dup[0].positions.clone();
         asc.sort_unstable();
         assert_eq!(asc, dup[0].positions, "positions ascending");
+    }
+
+    #[test]
+    fn direct_positions_are_capped_after_tf_is_read() {
+        let mut b = CollectionBuilder::new();
+        let many = "zero ".repeat(6000);
+        b.add_xml_str("d", &format!("<doc><p>{many}</p><q>{}</q></doc>", "zero ".repeat(600)))
+            .unwrap();
+        let c = b.build();
+        let scores = vec![1.0 / c.element_count() as f64; c.element_count()];
+        let zero = term(&c, "zero");
+        for weighting in [RankWeighting::ElemRank, RankWeighting::TfIdf] {
+            let lists = direct_postings_weighted(&c, &scores, weighting);
+            let lens: Vec<usize> = lists[zero].iter().map(|p| p.positions.len()).collect();
+            assert_eq!(lens, [MAX_POSITIONS, MAX_POSITIONS]);
+        }
+        // 6 000 occurrences still outrank 600 under tf-idf: the cap did
+        // not flatten tf.
+        let tfidf = direct_postings_weighted(&c, &scores, RankWeighting::TfIdf);
+        assert!(tfidf[zero][0].rank > tfidf[zero][1].rank);
     }
 
     #[test]

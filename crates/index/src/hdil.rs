@@ -5,16 +5,18 @@
 //! (usable by the RDIL algorithm until it is exhausted). Because the full
 //! list is Dewey-sorted, it doubles as the leaf level of the per-keyword
 //! B+-tree: "only the non-leaf part of the B+-tree needs to be explicitly
-//! stored" (Section 4.4.1) — realized here with
-//! [`xrank_storage::btree::Interior`] built over the list's pages. This is
-//! why HDIL's *index* column in Table 1 is orders of magnitude smaller than
-//! RDIL's while its *list* column is only slightly larger than DIL's.
+//! stored" (Section 4.4.1). That non-leaf part is the list's
+//! [`SkipTable`] — one `(first key, page, offset)` entry per block of
+//! ≤ 127 postings, kept in memory with the list directory — so a probe is
+//! a binary search in the table plus one block scan off the list page, and
+//! HDIL writes no index pages of its own. This is why HDIL's *index*
+//! column in Table 1 is orders of magnitude smaller than RDIL's while its
+//! *list* column is only slightly larger than DIL's.
 
 use crate::block::SkipTable;
 use crate::dil::DilIndex;
 use crate::listio::{
-    self, decode_dewey_page, pin_v2_page, scan_block, BlockScan, ListFormat, ListInfo, ListKind,
-    ListMeta, ListReader,
+    self, pin_page, scan_block, BlockScan, ListInfo, ListMeta, ListReader, PostingCodec,
 };
 use crate::posting::Posting;
 use crate::rdil::rank_order;
@@ -22,14 +24,8 @@ use crate::SpaceBreakdown;
 use std::sync::Arc;
 use xrank_dewey::{codec, DeweyId};
 use xrank_graph::TermId;
-use xrank_storage::btree::{CursorStats, Interior, MAX_SIBLING_HOPS};
-use xrank_storage::{
-    BufferPool, PageId, PageRef, PageStore, SegmentId, StorageResult, PAGE_SIZE,
-};
-
-/// A located v1 Dewey-list entry: list meta, page offset, slot index
-/// within the decoded page, and the page's postings.
-type LocatedEntry = (ListMeta, u32, usize, Vec<Posting>);
+use xrank_storage::btree::CursorStats;
+use xrank_storage::{BufferPool, PageRef, PageStore, SegmentId, StorageResult, PAGE_SIZE};
 
 /// Fraction of each list stored rank-sorted (the "small fraction of the
 /// inverted list sorted by rank" of Section 4.4.1).
@@ -42,9 +38,6 @@ pub const MIN_PREFIX_ENTRIES: usize = 16;
 pub struct HdilIndex {
     /// The full Dewey-sorted lists (shared with the DIL algorithm).
     pub dil: DilIndex,
-    /// Segment holding the interior B+-tree pages of all terms.
-    pub interior_segment: SegmentId,
-    interiors: Vec<Option<Interior>>,
     /// Segment holding the rank-sorted prefixes.
     pub prefix_segment: SegmentId,
     prefix_lists: Vec<Option<ListInfo>>,
@@ -59,18 +52,8 @@ impl HdilIndex {
         Self::build_full(pool, postings, DEFAULT_PREFIX_FRACTION, MIN_PREFIX_ENTRIES, PAGE_SIZE)
     }
 
-    /// Bulk-builds with explicit prefix sizing (ablation knob).
-    pub fn build_with<S: PageStore>(
-        pool: &mut BufferPool<S>,
-        postings: &[Vec<Posting>],
-        prefix_fraction: f64,
-        min_prefix: usize,
-    ) -> StorageResult<HdilIndex> {
-        Self::build_full(pool, postings, prefix_fraction, min_prefix, PAGE_SIZE)
-    }
-
-    /// Fully-parameterized build: prefix sizing plus the per-page byte
-    /// budget scale-emulation knob.
+    /// Fully-parameterized build: prefix sizing (ablation knob) plus the
+    /// per-page byte budget scale-emulation knob.
     pub fn build_full<S: PageStore>(
         pool: &mut BufferPool<S>,
         postings: &[Vec<Posting>],
@@ -78,17 +61,7 @@ impl HdilIndex {
         min_prefix: usize,
         page_budget: usize,
     ) -> StorageResult<HdilIndex> {
-        let (dil, firsts) = DilIndex::build_capturing(pool, postings, page_budget)?;
-        let interior_segment = pool.store_mut().create_segment()?;
-        let mut interiors = Vec::with_capacity(postings.len());
-        for page_firsts in &firsts {
-            if page_firsts.is_empty() {
-                interiors.push(None);
-            } else {
-                interiors.push(Some(Interior::build(pool, interior_segment, page_firsts)?));
-            }
-        }
-
+        let dil = DilIndex::build_with(pool, postings, page_budget)?;
         let prefix_segment = pool.store_mut().create_segment()?;
         let mut prefix_lists = Vec::with_capacity(postings.len());
         for term_postings in postings {
@@ -102,15 +75,15 @@ impl HdilIndex {
                 .max(min_prefix)
                 .min(term_postings.len());
             by_rank.truncate(keep);
-            prefix_lists.push(Some(listio::write_rank_list_budgeted(
+            prefix_lists.push(Some(listio::write_list(
                 pool,
                 prefix_segment,
+                PostingCodec,
                 &by_rank,
                 page_budget,
             )?));
         }
-
-        Ok(HdilIndex { dil, interior_segment, interiors, prefix_segment, prefix_lists })
+        Ok(HdilIndex { dil, prefix_segment, prefix_lists })
     }
 
     /// Metadata of a term's full (Dewey-sorted) list.
@@ -130,7 +103,7 @@ impl HdilIndex {
         self.prefix_lists
             .get(term.index())
             .and_then(|i| i.as_ref())
-            .map(|info| ListReader::new(self.prefix_segment, info, ListKind::Rank))
+            .map(|info| ListReader::new(self.prefix_segment, info, PostingCodec))
     }
 
     /// Entries in the rank-sorted prefix of `term`.
@@ -141,42 +114,10 @@ impl HdilIndex {
             .map_or(0, |i| i.meta.entry_count)
     }
 
-    /// Locates the first posting with `dewey >= target` in a v1 Dewey list
-    /// (the range scan's entry point; v2 lists seek by skip table):
-    /// returns the page offset, slot, and the decoded page.
-    fn locate<S: PageStore>(
-        &self,
-        pool: &BufferPool<S>,
-        term: TermId,
-        target: &DeweyId,
-    ) -> StorageResult<Option<LocatedEntry>> {
-        let (Some(info), Some(interior)) =
-            (self.dil.info(term), self.interiors.get(term.index()).copied().flatten())
-        else {
-            return Ok(None);
-        };
-        let meta = info.meta;
-        let key = codec::encode_id(target);
-        let mut page_off = interior.descend(pool, &key)?;
-        loop {
-            // Decode straight off the pinned frame — no staging copy.
-            let page = pool.read(PageId::new(self.dil.segment, page_off))?;
-            let postings = decode_dewey_page(&page, ListFormat::V1)?;
-            if let Some(slot) = postings.iter().position(|p| &p.dewey >= target) {
-                return Ok(Some((meta, page_off, slot, postings)));
-            }
-            // Everything on this page sorts below target: advance.
-            if page_off + 1 >= meta.start_page + meta.page_count {
-                return Ok(Some((meta, page_off, postings.len(), postings)));
-            }
-            page_off += 1;
-        }
-    }
-
     /// The Section 4.3.2 probe against the Dewey-sorted list: smallest
     /// posting with `dewey >= target` and its predecessor — one probe of a
-    /// fresh [`HdilProbeCursor`], so each list format has exactly one
-    /// probe implementation.
+    /// fresh [`HdilProbeCursor`], so there is exactly one probe
+    /// implementation.
     pub fn lowest_geq<S: PageStore>(
         &self,
         pool: &BufferPool<S>,
@@ -186,168 +127,101 @@ impl HdilIndex {
         self.probe_cursor(term).lowest_geq(pool, target)
     }
 
-    /// Opens a stateful probe cursor for `term`. A v2 list is probed
-    /// through its in-memory skip table, one block at a time; a v1 list
-    /// (no skip table) through the stored interior levels, one page at a
-    /// time. Either way the cursor keeps its current page across probes,
-    /// so the TA loop's clustered targets cost no further page reads.
+    /// Opens a stateful probe cursor for `term`. The list is probed
+    /// through its in-memory skip table, one block at a time, and the
+    /// cursor keeps its current page across probes, so the TA loop's
+    /// clustered targets cost no further page reads.
     pub fn probe_cursor(&self, term: TermId) -> HdilProbeCursor {
-        let list = self.dil.info(term).and_then(|info| match (&info.skip, info.format) {
-            (Some(skip), ListFormat::V2) => {
-                Some(ProbeList::Blocks(BlockProbe { skip: skip.clone(), pinned: None, at: 0 }))
-            }
-            _ => self.interiors.get(term.index()).copied().flatten().map(|interior| {
-                ProbeList::Pages(PageProbe { meta: info.meta, interior, current: None })
-            }),
-        });
-        HdilProbeCursor { segment: self.dil.segment, list, stats: CursorStats::default(), decoded: 0 }
+        HdilProbeCursor {
+            segment: self.dil.segment,
+            skip: self.dil.info(term).map(|info| info.skip.clone()),
+            pinned: None,
+            at: 0,
+            stats: CursorStats::default(),
+            decoded: 0,
+        }
     }
 
     /// All postings of `term` whose Dewey has `prefix` as a prefix, and
     /// the number of list entries decoded to produce them (a landing
-    /// block or page is decoded from its start, so this is at least the
-    /// number returned).
+    /// block is decoded from its start, so this is at least the number
+    /// returned).
     ///
-    /// v2 lists answer this from the in-memory skip table: jump straight
-    /// to the block that can contain `prefix` (no interior descent, no
-    /// page touched outside the subtree's range) and decode entries until
-    /// the first one past the subtree — descendants are contiguous in
-    /// Dewey order, so that entry ends the scan. This is the TA loop's
-    /// `range_scan` hot path; block granularity (≤ 127 entries) is what
-    /// keeps each candidate check from decoding whole pages. v1 lists
-    /// keep the interior-descent page walk.
+    /// Answered from the in-memory skip table: jump straight to the block
+    /// that can contain `prefix` (no page touched outside the subtree's
+    /// range) and decode entries until the first one past the subtree —
+    /// descendants are contiguous in Dewey order, so that entry ends the
+    /// scan. This is the TA loop's `range_scan` hot path; block
+    /// granularity (≤ 127 entries) is what keeps each candidate check from
+    /// decoding whole pages.
     pub fn prefix_postings<S: PageStore>(
         &self,
         pool: &BufferPool<S>,
         term: TermId,
         prefix: &DeweyId,
     ) -> StorageResult<(Vec<Posting>, u64)> {
-        let Some(info) = self.dil.info(term) else {
+        let Some(mut r) = self.dil.reader(term) else {
             return Ok((Vec::new(), 0));
         };
-        if info.format == ListFormat::V2 {
-            let mut r = ListReader::new(self.dil.segment, info, ListKind::Dewey);
-            r.next_seek(pool, prefix)?;
-            let mut out = Vec::new();
-            while let Some(p) = r.peek(pool)? {
-                if !prefix.is_ancestor_or_self_of(&p.dewey) {
-                    break;
-                }
-                out.push(r.next(pool)?.expect("peeked entry present"));
-            }
-            return Ok((out, r.decoded()));
-        }
-        let Some((meta, mut page_off, mut slot, mut postings)) =
-            self.locate(pool, term, prefix)?
-        else {
-            return Ok((Vec::new(), 0));
-        };
+        r.next_seek(pool, prefix)?;
         let mut out = Vec::new();
-        let mut decoded = postings.len() as u64;
-        loop {
-            while slot < postings.len() {
-                let p = &postings[slot];
-                if !prefix.is_ancestor_or_self_of(&p.dewey) {
-                    return Ok((out, decoded));
-                }
-                out.push(p.clone());
-                slot += 1;
+        while let Some(p) = r.peek(pool)? {
+            if !prefix.is_ancestor_or_self_of(&p.dewey) {
+                break;
             }
-            page_off += 1;
-            if page_off >= meta.start_page + meta.page_count {
-                return Ok((out, decoded));
-            }
-            let page = pool.read(PageId::new(self.dil.segment, page_off))?;
-            postings = decode_dewey_page(&page, ListFormat::V1)?;
-            decoded += postings.len() as u64;
-            slot = 0;
+            out.push(r.next(pool)?.expect("peeked entry present"));
         }
+        Ok((out, r.decoded()))
     }
 
     /// Serializes the index directory.
     pub fn write_meta<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        use xrank_storage::wire::put_u32;
         self.dil.write_meta(w)?;
-        put_u32(w, self.interior_segment.0)?;
-        put_u32(w, self.interiors.len() as u32)?;
-        for entry in &self.interiors {
-            match entry {
-                Some(i) => {
-                    put_u32(w, 1)?;
-                    put_u32(w, i.segment.0)?;
-                    put_u32(w, i.root)?;
-                    put_u32(w, i.height)?;
-                }
-                None => put_u32(w, 0)?,
-            }
-        }
-        put_u32(w, self.prefix_segment.0)?;
+        xrank_storage::wire::put_u32(w, self.prefix_segment.0)?;
         listio::write_list_table(w, &self.prefix_lists)
     }
 
     /// Deserializes a directory written by [`HdilIndex::write_meta`].
     pub fn read_meta<R: std::io::Read>(r: &mut R) -> std::io::Result<HdilIndex> {
-        use xrank_storage::wire::get_u32;
-        let dil = DilIndex::read_meta(r)?;
-        let interior_segment = SegmentId(get_u32(r)?);
-        let n = get_u32(r)?;
-        let mut interiors = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            interiors.push(match get_u32(r)? {
-                0 => None,
-                1 => Some(Interior {
-                    segment: SegmentId(get_u32(r)?),
-                    root: get_u32(r)?,
-                    height: get_u32(r)?,
-                }),
-                k => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("bad interior tag {k}"),
-                    ))
-                }
-            });
-        }
-        let prefix_segment = SegmentId(get_u32(r)?);
-        let prefix_lists = listio::read_list_table(r)?;
-        Ok(HdilIndex { dil, interior_segment, interiors, prefix_segment, prefix_lists })
+        Ok(HdilIndex {
+            dil: DilIndex::read_meta(r)?,
+            prefix_segment: SegmentId(xrank_storage::wire::get_u32(r)?),
+            prefix_lists: listio::read_list_table(r)?,
+        })
     }
 
     /// Table 1 space: lists = full Dewey list + rank prefixes
-    /// (byte-granular); index = interior pages only.
-    pub fn space<S: PageStore>(&self, pool: &BufferPool<S>) -> SpaceBreakdown {
-        let dil_bytes = self.dil.used_bytes();
+    /// (byte-granular); index = the stored non-leaf part of the per-keyword
+    /// B+-trees, i.e. the serialized skip tables of the Dewey lists. A
+    /// one-block list has no non-leaf level (its one leaf is the root), so
+    /// only tables with more than one entry count.
+    pub fn space<S: PageStore>(&self, _pool: &BufferPool<S>) -> SpaceBreakdown {
         let prefix_bytes: u64 =
             self.prefix_lists.iter().flatten().map(|i| i.meta.used_bytes).sum();
         SpaceBreakdown {
-            list_bytes: dil_bytes + prefix_bytes,
-            index_bytes: pool.store().page_count(self.interior_segment) as u64
-                * PAGE_SIZE as u64,
+            list_bytes: self.dil.used_bytes() + prefix_bytes,
+            index_bytes: self.dil.skip_index_bytes(),
         }
     }
 }
 
 /// A per-keyword stateful probe cursor over HDIL's Dewey-sorted list.
 ///
-/// HDIL's B+-tree leaves *are* the list pages (Section 4.4.1). On a v2
-/// list the skip table already names the one block (≤ 127 entries) that
-/// can hold the target, so a probe is a binary search in memory plus one
-/// block scan off the pinned page — the stored interior levels are not
-/// read. A v1 list has no skip table: its probes descend the interior and
-/// decode whole pages, walking sibling pages forward from the cached one.
+/// HDIL's B+-tree leaves *are* the list pages (Section 4.4.1), and the
+/// skip table already names the one block (≤ 127 entries) that can hold
+/// the target, so a probe is a binary search in memory plus one block scan
+/// off the pinned page.
 #[derive(Debug, Clone)]
 pub struct HdilProbeCursor {
     segment: SegmentId,
-    /// The term's list; `None` for absent terms.
-    list: Option<ProbeList>,
+    /// The term's skip table; `None` for absent terms.
+    skip: Option<Arc<SkipTable>>,
+    /// `(page offset, page)` of the last landing block.
+    pinned: Option<(u32, PageRef)>,
+    /// Index of the last landing block.
+    at: usize,
     stats: CursorStats,
     decoded: u64,
-}
-
-#[derive(Debug, Clone)]
-enum ProbeList {
-    Blocks(BlockProbe),
-    Pages(PageProbe),
 }
 
 impl HdilProbeCursor {
@@ -369,67 +243,34 @@ impl HdilProbeCursor {
         pool: &BufferPool<S>,
         target: &DeweyId,
     ) -> StorageResult<(Option<Posting>, Option<Posting>)> {
-        let Some(list) = &mut self.list else {
+        let Some(skip) = self.skip.as_deref() else {
             return Ok((None, None));
         };
         self.stats.probes += 1;
-        match list {
-            ProbeList::Blocks(b) => {
-                b.lowest_geq(pool, self.segment, target, &mut self.stats, &mut self.decoded)
-            }
-            ProbeList::Pages(p) => {
-                p.lowest_geq(pool, self.segment, target, &mut self.stats, &mut self.decoded)
-            }
-        }
-    }
-}
-
-/// v2 probe state: the skip table, the pinned page, and the block the
-/// last probe landed in.
-#[derive(Debug, Clone)]
-struct BlockProbe {
-    skip: Arc<SkipTable>,
-    /// `(page offset, page)` of the last landing block.
-    pinned: Option<(u32, PageRef)>,
-    /// Index of the last landing block.
-    at: usize,
-}
-
-impl BlockProbe {
-    fn lowest_geq<S: PageStore>(
-        &mut self,
-        pool: &BufferPool<S>,
-        segment: SegmentId,
-        target: &DeweyId,
-        stats: &mut CursorStats,
-        decoded: &mut u64,
-    ) -> StorageResult<(Option<Posting>, Option<Posting>)> {
-        let blocks = self.skip.blocks.len();
+        let blocks = skip.blocks.len();
         if blocks == 0 {
-            stats.seeks_forward += 1;
+            self.stats.seeks_forward += 1;
             return Ok((None, None));
         }
         // The only block that can hold `target`; a target before the whole
         // list is answered by the first posting of block 0.
-        let landing = self.skip.last_leq(&codec::encode_id(target)).unwrap_or(0);
+        let landing = skip.last_leq(&codec::encode_id(target)).unwrap_or(0);
+        let (segment, pinned, decoded) = (self.segment, &mut self.pinned, &mut self.decoded);
         let mut pinned_another = false;
-        let mut scan = |this: &mut Self,
-                        block: usize,
-                        target: Option<&DeweyId>|
-         -> StorageResult<BlockScan> {
-            let e = &this.skip.blocks[block];
-            let scanned = match &this.pinned {
+        let mut scan = |block: usize, target: Option<&DeweyId>| -> StorageResult<BlockScan> {
+            let e = &skip.blocks[block];
+            let scanned = match &*pinned {
                 Some((page_no, page)) if *page_no == e.page => {
                     scan_block(page, e.offset as usize, target)?
                 }
                 _ => {
                     pinned_another = true;
-                    let page = pin_v2_page(pool, segment, e.page)?;
+                    let page = pin_page(pool, segment, e.page)?;
                     let scanned = scan_block(&page, e.offset as usize, target)?;
                     // Keep the landing page; a neighbour's page is only
                     // borrowed for its boundary posting.
                     if block == landing {
-                        this.pinned = Some((e.page, page));
+                        *pinned = Some((e.page, page));
                     }
                     scanned
                 }
@@ -437,139 +278,28 @@ impl BlockProbe {
             *decoded += scanned.decoded as u64;
             Ok(scanned)
         };
-        let BlockScan { below, at_or_above, .. } = scan(self, landing, Some(target))?;
+        let BlockScan { below, at_or_above, .. } = scan(landing, Some(target))?;
         // Boundary cases reach into the neighbour block: the successor of a
         // block that sorts wholly below `target` is the next block's first
         // posting, the predecessor of a block's first posting the previous
         // block's last.
         let entry = match at_or_above {
-            None if landing + 1 < blocks => scan(self, landing + 1, Some(target))?.at_or_above,
+            None if landing + 1 < blocks => scan(landing + 1, Some(target))?.at_or_above,
             found => found,
         };
         let pred = match below {
-            None if landing > 0 => scan(self, landing - 1, None)?.below,
+            None if landing > 0 => scan(landing - 1, None)?.below,
             found => found,
         };
         if pinned_another {
-            stats.descents += 1;
+            self.stats.descents += 1;
         } else if landing < self.at {
-            stats.seeks_backward += 1;
+            self.stats.seeks_backward += 1;
         } else {
-            stats.seeks_forward += 1;
+            self.stats.seeks_forward += 1;
         }
         self.at = landing;
         Ok((entry, pred))
-    }
-}
-
-/// v1 probe state: the stored interior levels and the decoded current
-/// page.
-#[derive(Debug, Clone)]
-struct PageProbe {
-    meta: ListMeta,
-    interior: Interior,
-    /// Decoded current page: `(page offset, postings)`.
-    current: Option<(u32, Vec<Posting>)>,
-}
-
-impl PageProbe {
-    fn lowest_geq<S: PageStore>(
-        &mut self,
-        pool: &BufferPool<S>,
-        segment: SegmentId,
-        target: &DeweyId,
-        stats: &mut CursorStats,
-        decoded: &mut u64,
-    ) -> StorageResult<(Option<Posting>, Option<Posting>)> {
-        let (meta, interior) = (self.meta, self.interior);
-        let last_page = meta.start_page + meta.page_count - 1;
-
-        // Fast path: target at or after the cached page's first posting —
-        // walk forward from it (bounded; a long jump descends instead).
-        let forward_from = match &self.current {
-            Some((off, postings)) if !postings.is_empty() && postings[0].dewey <= *target => {
-                Some(*off)
-            }
-            _ => None,
-        };
-        let (mut page_off, descended) = match forward_from {
-            Some(off) => {
-                let mut off = off;
-                let mut hops = 0u32;
-                let mut reachable = true;
-                while off < last_page && hops < MAX_SIBLING_HOPS {
-                    let postings = self.decoded_page(pool, segment, off, decoded)?;
-                    if postings.last().is_some_and(|p| p.dewey >= *target) {
-                        break;
-                    }
-                    off += 1;
-                    hops += 1;
-                }
-                if off < last_page && hops >= MAX_SIBLING_HOPS {
-                    // Re-check: did the walk actually reach a covering page?
-                    let postings = self.decoded_page(pool, segment, off, decoded)?;
-                    reachable = postings.last().is_some_and(|p| p.dewey >= *target);
-                }
-                if reachable {
-                    stats.seeks_forward += 1;
-                    (off, false)
-                } else {
-                    let key = codec::encode_id(target);
-                    stats.descents += 1;
-                    (interior.descend(pool, &key)?, true)
-                }
-            }
-            None => {
-                let key = codec::encode_id(target);
-                stats.descents += 1;
-                (interior.descend(pool, &key)?, true)
-            }
-        };
-        // After a descent the target may still lie past the landing page
-        // (same forward scan `locate` does); walk until covered or last.
-        if descended {
-            while page_off < last_page {
-                let postings = self.decoded_page(pool, segment, page_off, decoded)?;
-                if postings.last().is_some_and(|p| p.dewey >= *target) {
-                    break;
-                }
-                page_off += 1;
-            }
-        }
-
-        let postings = self.decoded_page(pool, segment, page_off, decoded)?;
-        let slot = postings.partition_point(|p| p.dewey < *target);
-        let entry = postings.get(slot).cloned();
-        let pred = if slot > 0 {
-            postings.get(slot - 1).cloned()
-        } else if page_off > meta.start_page {
-            let prev = pool.read(PageId::new(segment, page_off - 1))?;
-            let mut prev = decode_dewey_page(&prev, ListFormat::V1)?;
-            *decoded += prev.len() as u64;
-            prev.pop()
-        } else {
-            None
-        };
-        Ok((entry, pred))
-    }
-
-    /// The decoded postings of `page_off`, from the cache when current —
-    /// each list page is parsed at most once per position change.
-    fn decoded_page<S: PageStore>(
-        &mut self,
-        pool: &BufferPool<S>,
-        segment: SegmentId,
-        page_off: u32,
-        decoded: &mut u64,
-    ) -> StorageResult<&Vec<Posting>> {
-        let cached = matches!(&self.current, Some((off, _)) if *off == page_off);
-        if !cached {
-            let page = pool.read(PageId::new(segment, page_off))?;
-            let postings = decode_dewey_page(&page, ListFormat::V1)?;
-            *decoded += postings.len() as u64;
-            self.current = Some((page_off, postings));
-        }
-        Ok(&self.current.as_ref().expect("page just cached").1)
     }
 }
 
@@ -580,7 +310,7 @@ mod tests {
     use crate::rdil::RdilIndex;
     use proptest::prelude::*;
     use xrank_graph::CollectionBuilder;
-    use xrank_storage::{FaultAt, FaultKind, FaultRule, FaultStore, MemStore, StorageError};
+    use xrank_storage::{FaultAt, FaultKind, FaultRule, FaultStore, MemStore, PageId, StorageError};
 
     /// A corpus big enough to force multi-page lists.
     fn build_large() -> (BufferPool<MemStore>, HdilIndex, RdilIndex, xrank_graph::Collection)
@@ -752,7 +482,7 @@ mod tests {
         let hdil = HdilIndex::build(&mut pool, std::slice::from_ref(&postings)).unwrap();
         let info = hdil.dil.info(TERM).unwrap();
         assert!(info.meta.page_count >= 3, "{:?}", info.meta);
-        assert!(info.skip.as_ref().unwrap().blocks.len() >= 20);
+        assert!(info.skip.blocks.len() >= 20);
         (pool, hdil, postings)
     }
 
@@ -794,7 +524,7 @@ mod tests {
     #[test]
     fn block_probe_boundaries_match_brute_force() {
         let (pool, hdil, postings) = block_list();
-        let skip = hdil.dil.info(TERM).unwrap().skip.clone().unwrap();
+        let skip = hdil.dil.info(TERM).unwrap().skip.clone();
         let mut targets = vec![
             DeweyId::default(),                       // before everything
             DeweyId::from([0]),                       // before the first key
@@ -843,7 +573,7 @@ mod tests {
     #[test]
     fn block_probes_on_the_pinned_page_read_nothing() {
         let (pool, hdil, postings) = block_list();
-        let skip = hdil.dil.info(TERM).unwrap().skip.clone().unwrap();
+        let skip = hdil.dil.info(TERM).unwrap().skip.clone();
         let first_page = skip.blocks[0].page;
         let on_first: Vec<DeweyId> = skip
             .blocks

@@ -9,7 +9,7 @@
 //! | [`NaiveRankIndex`] | ElemRank desc | same replicated entries | paged hash index on (term, element id) |
 //! | [`DilIndex`] | Dewey ID | only elements *directly* containing the keyword | — |
 //! | [`RdilIndex`] | ElemRank desc | direct elements | B+-tree on (term, Dewey) with posting payloads |
-//! | [`HdilIndex`] | both | full list by Dewey + top-rank prefix by ElemRank | interior-only B+-tree whose leaf level **is** the Dewey list |
+//! | [`HdilIndex`] | both | full list by Dewey + top-rank prefix by ElemRank | none stored: the Dewey list **is** the B+-tree's leaf level and its in-memory skip table the non-leaf part |
 //!
 //! The naive pair exists to reproduce the paper's baselines: replicating
 //! ancestors is what blows up Table 1's first two rows and produces the

@@ -8,7 +8,7 @@
 //! can probe for the other keywords ("a hash-index is sufficient" since
 //! ancestor ids are explicit and no common-prefix computation is needed).
 
-use crate::listio::{self, ListInfo, ListMeta, NaiveListReader};
+use crate::listio::{self, ListInfo, ListMeta, ListReader, NaiveCodec};
 use crate::posting::{self, NaivePosting};
 use crate::SpaceBreakdown;
 use xrank_graph::{ElemId, TermId};
@@ -51,11 +51,11 @@ impl NaiveIdIndex {
                 lists.push(None);
             } else {
                 debug_assert!(list.windows(2).all(|w| w[0].elem < w[1].elem));
-                lists.push(Some(listio::write_naive_list_budgeted(
+                lists.push(Some(listio::write_list(
                     pool,
                     segment,
+                    NaiveCodec { delta: true },
                     list,
-                    true,
                     page_budget,
                 )?));
             }
@@ -74,9 +74,9 @@ impl NaiveIdIndex {
     }
 
     /// Streaming reader (element-id order).
-    pub fn reader(&self, term: TermId) -> Option<NaiveListReader> {
+    pub fn reader(&self, term: TermId) -> Option<ListReader<NaiveCodec>> {
         self.info(term)
-            .map(|info| NaiveListReader::new(self.segment, info, true))
+            .map(|info| ListReader::new(self.segment, info, NaiveCodec { delta: true }))
     }
 
     /// Serializes the index directory.
@@ -138,11 +138,11 @@ impl NaiveRankIndex {
             }
             let mut by_rank = list.clone();
             by_rank.sort_by(|a, b| b.rank.total_cmp(&a.rank).then(a.elem.cmp(&b.elem)));
-            lists.push(Some(listio::write_naive_list_budgeted(
+            lists.push(Some(listio::write_list(
                 pool,
                 segment,
+                NaiveCodec { delta: false },
                 &by_rank,
-                false,
                 page_budget,
             )?));
             for p in list {
@@ -166,9 +166,9 @@ impl NaiveRankIndex {
     }
 
     /// Streaming reader (rank order).
-    pub fn reader(&self, term: TermId) -> Option<NaiveListReader> {
+    pub fn reader(&self, term: TermId) -> Option<ListReader<NaiveCodec>> {
         self.info(term)
-            .map(|info| NaiveListReader::new(self.segment, info, false))
+            .map(|info| ListReader::new(self.segment, info, NaiveCodec { delta: false }))
     }
 
     /// Membership probe: does `elem` appear in `term`'s list? Returns the

@@ -5,20 +5,21 @@
 //! of the corresponding XML element, and the list of positions where the
 //! keyword k appears in that element").
 //!
-//! Byte layout of one entry (inside list pages, B+-tree values, and hash
-//! values):
+//! Byte layout of one payload (B+-tree values, hash values, and naive
+//! list entries after their element id; the key carries the ID):
 //!
 //! ```text
-//! [dewey: shared-prefix delta]  — only in list pages; B+-tree/hash values
-//!                                 omit it because the key carries the ID
 //! [rank: f32 LE]
 //! [npos: varint] [pos₀: varint] [posᵢ₊₁ - posᵢ: varint]*
 //! ```
 //!
+//! Posting-list entries carry the positions part only, after a Dewey
+//! delta and a rank-dictionary index (see [`crate::block`]).
+//!
 //! Position lists are ascending document-order word offsets, delta-encoded
 //! with the same ordered varint the Dewey codec uses.
 
-use xrank_dewey::codec::{self, prefix, DecodeError};
+use xrank_dewey::codec::{self, DecodeError};
 use xrank_dewey::DeweyId;
 use xrank_graph::ElemId;
 
@@ -77,7 +78,7 @@ pub fn decode_payload(buf: &[u8]) -> Result<(f32, Vec<u32>, usize), DecodeError>
 }
 
 /// Appends the positions part of a payload (count + deltas, no rank) —
-/// the v2 block codec stores ranks in a per-block dictionary instead of
+/// the block codec stores ranks in a per-block dictionary instead of
 /// inline, so its entries carry only this part.
 pub fn encode_positions(positions: &[u32], out: &mut Vec<u8>) {
     codec::write_component(positions.len() as u32, out);
@@ -130,29 +131,6 @@ pub fn skip_positions(buf: &[u8]) -> Result<usize, DecodeError> {
     Ok(off)
 }
 
-/// Appends a full list entry: delta-encoded Dewey (against `prev`, `None`
-/// at page restarts or in rank-ordered lists) followed by the payload.
-pub fn encode_entry(prev: Option<&DeweyId>, p: &Posting, out: &mut Vec<u8>) {
-    prefix::encode_delta(prev, &p.dewey, out);
-    encode_payload(p.rank, &p.positions, out);
-}
-
-/// Size of [`encode_entry`]'s output.
-pub fn entry_len(prev: Option<&DeweyId>, p: &Posting) -> usize {
-    prefix::delta_len(prev, &p.dewey) + payload_len(&p.positions)
-}
-
-/// Decodes one entry, returning the posting (with `elem` left 0 — disk
-/// entries do not carry the dense id) and bytes consumed.
-pub fn decode_entry(
-    prev: Option<&DeweyId>,
-    buf: &[u8],
-) -> Result<(Posting, usize), DecodeError> {
-    let (dewey, n) = prefix::decode_delta(prev, buf)?;
-    let (rank, positions, m) = decode_payload(&buf[n..])?;
-    Ok((Posting { elem: 0, dewey, rank, positions }, n + m))
-}
-
 /// Composite key for the RDIL B+-tree and Naive-Rank hash index: the term
 /// id (ordered varint) followed by the Dewey encoding. One tree keyed this
 /// way is equivalent to a B+-tree per keyword with perfect page sharing —
@@ -175,15 +153,6 @@ pub fn split_composite_key(key: &[u8]) -> Result<(u32, DeweyId), DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn posting(dewey: &[u32], rank: f32, positions: &[u32]) -> Posting {
-        Posting {
-            elem: 0,
-            dewey: DeweyId::from(dewey),
-            rank,
-            positions: positions.to_vec(),
-        }
-    }
 
     #[test]
     fn payload_roundtrip() {
@@ -215,24 +184,6 @@ mod tests {
         let (rank, pos, _) = decode_payload(&buf).unwrap();
         assert_eq!(rank, 1.0);
         assert!(pos.is_empty());
-    }
-
-    #[test]
-    fn entry_roundtrip_with_and_without_prev() {
-        let a = posting(&[5, 0, 3, 0, 0], 0.5, &[10, 11]);
-        let b = posting(&[5, 0, 3, 0, 1], 0.25, &[42]);
-        let mut buf = Vec::new();
-        encode_entry(None, &a, &mut buf);
-        let split = buf.len();
-        assert_eq!(split, entry_len(None, &a));
-        encode_entry(Some(&a.dewey), &b, &mut buf);
-        assert_eq!(buf.len() - split, entry_len(Some(&a.dewey), &b));
-
-        let (got_a, n) = decode_entry(None, &buf).unwrap();
-        assert_eq!((got_a.dewey, got_a.rank, got_a.positions), (a.dewey.clone(), 0.5, vec![10, 11]));
-        let (got_b, m) = decode_entry(Some(&a.dewey), &buf[n..]).unwrap();
-        assert_eq!(got_b.dewey, b.dewey);
-        assert_eq!(n + m, buf.len());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! realized as **one** B+-tree over the composite key `(term, dewey)` —
 //! equivalent to per-term trees with perfect page sharing.
 
-use crate::listio::{self, ListInfo, ListKind, ListMeta, ListReader};
+use crate::listio::{self, ListInfo, ListMeta, ListReader, PostingCodec};
 use crate::posting::{self, Posting};
 use crate::SpaceBreakdown;
 use xrank_dewey::DeweyId;
@@ -58,9 +58,10 @@ impl RdilIndex {
             }
             let mut by_rank = term_postings.clone();
             rank_order(&mut by_rank);
-            lists.push(Some(listio::write_rank_list_budgeted(
+            lists.push(Some(listio::write_list(
                 pool,
                 segment,
+                PostingCodec,
                 &by_rank,
                 page_budget,
             )?));
@@ -87,7 +88,7 @@ impl RdilIndex {
         self.info(term).map(|i| i.meta)
     }
 
-    /// Full list info (meta + format + skip table).
+    /// Full list info (meta + skip table).
     pub fn info(&self, term: TermId) -> Option<&ListInfo> {
         self.lists.get(term.index()).and_then(|i| i.as_ref())
     }
@@ -95,7 +96,7 @@ impl RdilIndex {
     /// Streaming reader over a term's list (rank order).
     pub fn reader(&self, term: TermId) -> Option<ListReader> {
         self.info(term)
-            .map(|info| ListReader::new(self.segment, info, ListKind::Rank))
+            .map(|info| ListReader::new(self.segment, info, PostingCodec))
     }
 
     /// The Figure 7 probe (`getLongestCommonPrefix` building block): the

@@ -156,7 +156,7 @@ pub fn evaluate_traced<S: PageStore>(
         // keyword whose head sits at that largest document — it cannot be
         // a result, and its postings can only be pushed and fruitlessly
         // popped. Readers lagging in such documents jump straight to the
-        // largest head document; with v2 lists the skip table turns the
+        // largest head document; the skip table turns the
         // jump into whole-block skips instead of a decode-and-drop scan.
         // Readers still inside the stack's document are never moved: their
         // postings feed the frames currently being assembled.

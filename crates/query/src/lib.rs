@@ -241,7 +241,7 @@ pub struct EvalStats {
     pub cursor_descents: u64,
     /// Hash-index lookups issued.
     pub hash_probes: u64,
-    /// Compressed list blocks decoded (v2 block format; 0 on v1 stores).
+    /// Compressed list blocks decoded.
     pub blocks_decoded: u64,
     /// Compressed list blocks skipped whole — their skip entry proved no
     /// needed posting could live inside, so they were never decoded.

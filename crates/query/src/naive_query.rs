@@ -96,9 +96,9 @@ pub fn evaluate_id_traced<S: PageStore>(
         let mut aligned = true;
         for r in readers.iter_mut() {
             // Leapfrog: jump straight to the first posting at or past the
-            // merge target. On v2 lists the skip table lets whole blocks
-            // below the target go undecoded.
-            r.next_seek(pool, target)?;
+            // merge target. The skip table lets whole blocks below the
+            // target go undecoded.
+            r.next_seek(pool, &target)?;
             match r.peek(pool)? {
                 Some(p) if p.elem == target => {
                     // The peek just buffered this entry.

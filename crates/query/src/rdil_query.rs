@@ -141,9 +141,9 @@ impl<'a, S: PageStore, A: RankedAccess<S>> RdilRun<'a, S, A> {
             }
         }
         // Initialize the threshold frontier with each list's best rank.
-        // `rank_bound` answers from the skip table's per-block max rank on
-        // v2 lists (the first block's bound *is* the first entry's rank on
-        // a rank-sorted list), so seeding costs no page reads there.
+        // `rank_bound` answers from the skip table's per-block max rank
+        // (the first block's bound *is* the first entry's rank on a
+        // rank-sorted list), so seeding costs no page reads.
         let mut frontier = vec![0.0f64; readers.len()];
         if viable {
             for (i, r) in readers.iter_mut().enumerate() {

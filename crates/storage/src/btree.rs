@@ -5,11 +5,8 @@
 //! a key. Two layers are exposed:
 //!
 //! * [`Interior`] — interior levels only, mapping a search key to the leaf
-//!   *page* that may contain it. HDIL builds this directly over the pages
-//!   of its Dewey-sorted inverted list, realizing the Section 4.4.1
-//!   observation that "the inverted list itself can serve as the leaf level
-//!   of the B+-tree" — only interior pages are materialized, which is why
-//!   Table 1 shows HDIL's index collapsing to a few MB.
+//!   *page* that may contain it; the child values are opaque, so the
+//!   levels can sit over any run of pages with known first keys.
 //! * [`SortedKv`] — a complete key→value tree with its own leaf pages,
 //!   used for the per-keyword RDIL B+-trees. Supports the Section 4.3.2
 //!   probe: `lowest_geq(d)` returns the smallest key ≥ `d` *and* its
@@ -81,7 +78,7 @@ pub struct Interior {
 impl Interior {
     /// Bulk-builds interior levels over `children`: `(first_key, child)`
     /// pairs sorted by key. `child` values are opaque to the tree (leaf
-    /// page offsets for [`SortedKv`], inverted-list page offsets for HDIL).
+    /// page offsets for [`SortedKv`]).
     ///
     /// Errors on empty `children` or a key exceeding [`MAX_ENTRY`].
     pub fn build<S: PageStore>(
@@ -942,7 +939,7 @@ mod tests {
 
     #[test]
     fn interior_over_external_leaves() {
-        // The HDIL pattern: children are page numbers of some other segment.
+        // Children are opaque: here, page numbers of some other segment.
         let mut pool = BufferPool::new(MemStore::new(), 64);
         let seg = pool.store_mut().create_segment().unwrap();
         let children: Vec<(Vec<u8>, u32)> = (0..500)

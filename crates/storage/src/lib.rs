@@ -22,9 +22,6 @@
 //! * [`btree`] — a bulk-loaded B+-tree over byte-string keys (the
 //!   order-preserving Dewey encodings), with the `lowest_geq` +
 //!   predecessor probe of Section 4.3.2 and bidirectional leaf cursors.
-//!   Interior levels can also be built over *external* leaf pages, which is
-//!   exactly the HDIL trick of Section 4.4.1 (the Dewey-sorted inverted
-//!   list doubles as the leaf level).
 //! * [`hash`] — a paged static hash index (u64 key → bytes), the lookup
 //!   structure of the Naive-Rank baseline (Section 5.1).
 //!
@@ -51,6 +48,6 @@ pub use pool::{BufferPool, EvictionCounters, PageRef, SegmentIo, STREAMS_PER_SEG
 pub use resilience::{BreakerConfig, FaultCounters, FaultPolicy, RetryPolicy};
 pub use stats::{AtomicIoStats, CostModel, IoStats, StatsScope};
 pub use store::{
-    FileStore, MemStore, PageId, PageStore, SegmentId, StoreFormat, PAGE_SIZE, PAGE_TRAILER_LEN,
+    FileStore, MemStore, PageId, PageStore, SegmentId, PAGE_SIZE, PAGE_TRAILER_LEN,
     PAGE_TRAILER_MAGIC,
 };

@@ -1,12 +1,10 @@
 //! Page stores: segmented fixed-page address spaces, in memory or on disk.
 //!
 //! Every I/O-bearing operation returns a [`StorageResult`]: a flaky disk
-//! fails the one query that touched it, never the process. On-disk
-//! segments (format v2) carry a per-page trailer — CRC32 over the page
-//! bytes plus a magic — so bit rot surfaces as
-//! [`StorageError::ChecksumMismatch`] and a partially-overwritten slot as
-//! [`StorageError::TornWrite`]. Format v1 segments (no trailer) remain
-//! readable for backward compatibility.
+//! fails the one query that touched it, never the process. Every on-disk
+//! page slot carries a trailer — CRC32 over the page bytes plus a magic —
+//! so bit rot surfaces as [`StorageError::ChecksumMismatch`] and a
+//! partially-overwritten slot as [`StorageError::TornWrite`].
 
 use crate::error::{crc32, StorageError, StorageResult};
 use std::fs::{File, OpenOptions};
@@ -16,11 +14,11 @@ use std::path::PathBuf;
 /// Fixed page size, in bytes.
 pub const PAGE_SIZE: usize = 4096;
 
-/// Bytes of per-page trailer in format-v2 segment files: CRC32
-/// (little-endian) + [`PAGE_TRAILER_MAGIC`].
+/// Bytes of per-page trailer in segment files: CRC32 (little-endian) +
+/// [`PAGE_TRAILER_MAGIC`].
 pub const PAGE_TRAILER_LEN: usize = 8;
 
-/// Trailer magic sealing a fully-written v2 page slot.
+/// Trailer magic sealing a fully-written page slot.
 pub const PAGE_TRAILER_MAGIC: [u8; 4] = *b"XPG2";
 
 /// Identifies a segment (≈ one file: an inverted list, a B+-tree, ...).
@@ -153,39 +151,24 @@ impl PageStore for MemStore {
     }
 }
 
-/// On-disk segment file layout version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreFormat {
-    /// Bare [`PAGE_SIZE`] slots, no integrity trailer (the original
-    /// layout; read-compatible, never written for new stores).
-    V1,
-    /// [`PAGE_SIZE`] + [`PAGE_TRAILER_LEN`] slots: page bytes, CRC32 of
-    /// them (LE), and the [`PAGE_TRAILER_MAGIC`].
-    V2,
-}
+/// One on-disk page slot: the page bytes, their CRC32 (LE), and the
+/// [`PAGE_TRAILER_MAGIC`].
+const SLOT_SIZE: usize = PAGE_SIZE + PAGE_TRAILER_LEN;
 
-impl StoreFormat {
-    fn slot_size(self) -> u64 {
-        match self {
-            StoreFormat::V1 => PAGE_SIZE as u64,
-            StoreFormat::V2 => (PAGE_SIZE + PAGE_TRAILER_LEN) as u64,
-        }
-    }
-}
+/// The `FORMAT` marker of the one layout this build reads and writes.
+const FORMAT_TAG: &str = "2";
 
 /// File-backed store: one file per segment inside a directory, mirroring
 /// the paper's "inverted lists were implemented in the file system".
 ///
-/// A `FORMAT` marker file records the layout version. Directories written
-/// before checksumming existed have no marker; they are attached as
-/// [`StoreFormat::V1`] and read without verification. New or empty
-/// directories become [`StoreFormat::V2`], where every page slot carries a
-/// CRC32 + magic trailer verified on each read.
+/// Every page slot is [`PAGE_SIZE`] + [`PAGE_TRAILER_LEN`] bytes and is
+/// verified on each read. A `FORMAT` marker file records the layout; a
+/// directory written in the retired trailer-less layout (marker `1`, or
+/// segment files and no marker at all) is refused rather than misread.
 #[derive(Debug)]
 pub struct FileStore {
     dir: PathBuf,
     files: Vec<FileSegment>,
-    format: StoreFormat,
 }
 
 #[derive(Debug)]
@@ -201,10 +184,17 @@ impl FileStore {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| StorageError::io("create store dir", e))?;
         let format_path = dir.join("FORMAT");
-        let format = match std::fs::read_to_string(&format_path) {
+        let retired = |found: &str| {
+            StorageError::corrupt(format!(
+                "{} holds a store in the retired format 1 ({found}); this build reads \
+                 format {FORMAT_TAG} only — rebuild the index from source",
+                dir.display()
+            ))
+        };
+        match std::fs::read_to_string(&format_path) {
             Ok(tag) => match tag.trim() {
-                "1" => StoreFormat::V1,
-                "2" => StoreFormat::V2,
+                FORMAT_TAG => {}
+                "1" => return Err(retired("FORMAT marker 1")),
                 other => {
                     return Err(StorageError::corrupt(format!(
                         "unknown store FORMAT tag {other:?} in {}",
@@ -213,18 +203,16 @@ impl FileStore {
                 }
             },
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                // Stamping such a directory would read its bare 4096-byte
+                // slots at the wrong stride.
                 if dir.join("seg-0.pages").exists() {
-                    // Pre-checksum store: no marker, bare pages.
-                    StoreFormat::V1
-                } else {
-                    std::fs::write(&format_path, "2\n")
-                        .map_err(|e| StorageError::io("write store FORMAT", e))?;
-                    StoreFormat::V2
+                    return Err(retired("segment files without a FORMAT marker"));
                 }
+                std::fs::write(&format_path, format!("{FORMAT_TAG}\n"))
+                    .map_err(|e| StorageError::io("write store FORMAT", e))?;
             }
             Err(e) => return Err(StorageError::io("read store FORMAT", e)),
-        };
-        let slot = format.slot_size();
+        }
         let mut files = Vec::new();
         for i in 0.. {
             let path = dir.join(format!("seg-{i}.pages"));
@@ -239,20 +227,15 @@ impl FileStore {
             let len = file.metadata().map_err(|e| StorageError::io("stat segment file", e))?.len();
             // A trailing partial slot (crash mid-append) is ignored: the
             // page was never acknowledged, so it does not exist.
-            let pages = (len / slot) as u32;
+            let pages = (len / SLOT_SIZE as u64) as u32;
             files.push(FileSegment { file, pages });
         }
-        Ok(FileStore { dir, files, format })
+        Ok(FileStore { dir, files })
     }
 
     /// The root directory.
     pub fn dir(&self) -> &std::path::Path {
         &self.dir
-    }
-
-    /// The on-disk layout version this store reads and writes.
-    pub fn format(&self) -> StoreFormat {
-        self.format
     }
 
     /// Flushes every segment file's data and metadata to the device, then
@@ -268,7 +251,7 @@ impl FileStore {
     }
 
     /// Reads back every page of every segment, verifying trailers and
-    /// checksums (v2). A clean pass proves the files are fully readable
+    /// checksums. A clean pass proves the files are fully readable
     /// and uncorrupted; the first damaged page aborts with its typed
     /// error. Used by engine open to fail loudly on silent corruption.
     pub fn verify(&self) -> StorageResult<()> {
@@ -296,19 +279,14 @@ impl FileStore {
             .ok_or(StorageError::SegmentOutOfRange { segment, segments })
     }
 
-    /// Serializes `data` into one on-disk slot for this format.
-    fn encode_slot(&self, data: &[u8]) -> Box<[u8]> {
-        match self.format {
-            StoreFormat::V1 => to_full_page(data),
-            StoreFormat::V2 => {
-                let page = to_full_page(data);
-                let mut slot = vec![0u8; PAGE_SIZE + PAGE_TRAILER_LEN].into_boxed_slice();
-                slot[..PAGE_SIZE].copy_from_slice(&page);
-                slot[PAGE_SIZE..PAGE_SIZE + 4].copy_from_slice(&crc32(&page).to_le_bytes());
-                slot[PAGE_SIZE + 4..].copy_from_slice(&PAGE_TRAILER_MAGIC);
-                slot
-            }
-        }
+    /// Serializes `data` into one on-disk slot.
+    fn encode_slot(data: &[u8]) -> Box<[u8]> {
+        let page = to_full_page(data);
+        let mut slot = vec![0u8; SLOT_SIZE].into_boxed_slice();
+        slot[..PAGE_SIZE].copy_from_slice(&page);
+        slot[PAGE_SIZE..PAGE_SIZE + 4].copy_from_slice(&crc32(&page).to_le_bytes());
+        slot[PAGE_SIZE + 4..].copy_from_slice(&PAGE_TRAILER_MAGIC);
+        slot
     }
 
     fn write_slot(seg: &mut FileSegment, offset: u64, slot: &[u8], op: &'static str) -> StorageResult<()> {
@@ -361,22 +339,20 @@ impl PageStore for FileStore {
     }
 
     fn append_page(&mut self, segment: SegmentId, data: &[u8]) -> StorageResult<u32> {
-        let slot = self.encode_slot(data);
-        let slot_size = self.format.slot_size();
+        let slot = Self::encode_slot(data);
         let seg = self.segment_mut(segment)?;
-        Self::write_slot(seg, seg.pages as u64 * slot_size, &slot, "append page")?;
+        Self::write_slot(seg, seg.pages as u64 * SLOT_SIZE as u64, &slot, "append page")?;
         seg.pages += 1;
         Ok(seg.pages - 1)
     }
 
     fn write_page(&mut self, id: PageId, data: &[u8]) -> StorageResult<()> {
-        let slot = self.encode_slot(data);
-        let slot_size = self.format.slot_size();
+        let slot = Self::encode_slot(data);
         let seg = self.segment_mut(id.segment)?;
         if id.page >= seg.pages {
             return Err(StorageError::PageOutOfRange { id, pages: seg.pages });
         }
-        Self::write_slot(seg, id.page as u64 * slot_size, &slot, "write page")
+        Self::write_slot(seg, id.page as u64 * SLOT_SIZE as u64, &slot, "write page")
     }
 
     fn read_page(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
@@ -384,26 +360,19 @@ impl PageStore for FileStore {
         if id.page >= seg.pages {
             return Err(StorageError::PageOutOfRange { id, pages: seg.pages });
         }
-        let offset = id.page as u64 * self.format.slot_size();
-        match self.format {
-            StoreFormat::V1 => Self::read_slot(seg, offset, buf),
-            StoreFormat::V2 => {
-                let mut slot = [0u8; PAGE_SIZE + PAGE_TRAILER_LEN];
-                Self::read_slot(seg, offset, &mut slot)?;
-                if slot[PAGE_SIZE + 4..] != PAGE_TRAILER_MAGIC {
-                    return Err(StorageError::TornWrite { id });
-                }
-                let stored = u32::from_le_bytes(
-                    slot[PAGE_SIZE..PAGE_SIZE + 4].try_into().expect("4-byte slice"),
-                );
-                let computed = crc32(&slot[..PAGE_SIZE]);
-                if stored != computed {
-                    return Err(StorageError::ChecksumMismatch { id, stored, computed });
-                }
-                buf.copy_from_slice(&slot[..PAGE_SIZE]);
-                Ok(())
-            }
+        let mut slot = [0u8; SLOT_SIZE];
+        Self::read_slot(seg, id.page as u64 * SLOT_SIZE as u64, &mut slot)?;
+        if slot[PAGE_SIZE + 4..] != PAGE_TRAILER_MAGIC {
+            return Err(StorageError::TornWrite { id });
         }
+        let stored =
+            u32::from_le_bytes(slot[PAGE_SIZE..PAGE_SIZE + 4].try_into().expect("4-byte slice"));
+        let computed = crc32(&slot[..PAGE_SIZE]);
+        if stored != computed {
+            return Err(StorageError::ChecksumMismatch { id, stored, computed });
+        }
+        buf.copy_from_slice(&slot[..PAGE_SIZE]);
+        Ok(())
     }
 }
 
@@ -465,12 +434,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let mut store = FileStore::open(&dir).unwrap();
-            assert_eq!(store.format(), StoreFormat::V2);
             exercise(&mut store);
         }
         // Re-open and verify persistence.
         let store = FileStore::open(&dir).unwrap();
-        assert_eq!(store.format(), StoreFormat::V2);
         assert_eq!(store.segment_count(), 2);
         assert_eq!(store.page_count(SegmentId(0)), 2);
         let mut buf = vec![0u8; PAGE_SIZE];
@@ -479,28 +446,39 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn v1_directory_without_marker_reads_back() {
-        let dir = temp_dir("v1");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // Hand-write a v1 segment: two bare 4096-byte pages, no FORMAT.
-        let mut page = vec![0u8; PAGE_SIZE];
-        page[..3].copy_from_slice(b"old");
-        let mut raw = page.clone();
-        page[..3].copy_from_slice(b"two");
-        raw.extend_from_slice(&page);
-        std::fs::write(dir.join("seg-0.pages"), &raw).unwrap();
+    /// Every file under `dir` with its bytes.
+    fn snapshot(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
+            .collect();
+        files.sort();
+        files
+    }
 
-        let store = FileStore::open(&dir).unwrap();
-        assert_eq!(store.format(), StoreFormat::V1);
-        assert_eq!(store.page_count(SegmentId(0)), 2);
-        let mut buf = vec![0u8; PAGE_SIZE];
-        store.read_page(PageId::new(SegmentId(0), 0), &mut buf).unwrap();
-        assert_eq!(&buf[..3], b"old");
-        store.read_page(PageId::new(SegmentId(0), 1), &mut buf).unwrap();
-        assert_eq!(&buf[..3], b"two");
-        std::fs::remove_dir_all(&dir).unwrap();
+    #[test]
+    fn retired_format_is_refused_and_left_untouched() {
+        // Two bare 4096-byte slots, as the trailer-less layout wrote them.
+        let mut raw = vec![0u8; 2 * PAGE_SIZE];
+        raw[..3].copy_from_slice(b"old");
+        raw[PAGE_SIZE..PAGE_SIZE + 3].copy_from_slice(b"two");
+        for (tag, marker) in [("retired-marker", Some("1\n")), ("retired-bare", None)] {
+            let dir = temp_dir(tag);
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join("seg-0.pages"), &raw).unwrap();
+            if let Some(marker) = marker {
+                std::fs::write(dir.join("FORMAT"), marker).unwrap();
+            }
+            let before = snapshot(&dir);
+            let err = FileStore::open(&dir).unwrap_err();
+            assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains("retired format 1") && msg.contains("rebuild"), "{msg}");
+            assert_eq!(snapshot(&dir), before, "a refused directory must not be stamped");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

