@@ -39,9 +39,9 @@ use xrank_storage::wire::{get_f64, get_u32, get_u64, put_f64, put_u32, put_u64};
 use xrank_storage::{BufferPool, FileStore, PageStore};
 
 const MAGIC: &[u8; 4] = b"XRKE";
-/// The meta-file version this build writes and reads (4: HDIL's record
-/// is its Dewey lists and rank prefixes, with no interior levels).
-const VERSION: u32 = 4;
+/// The meta-file version this build writes and reads (5: RDIL's B+-tree
+/// leaves carry a slot directory; 4 had a count and per-entry lengths).
+const VERSION: u32 = 5;
 
 /// The live store directory under the engine dir.
 pub(crate) const STORE_DIR: &str = "store";

@@ -139,16 +139,16 @@ fn other_meta_versions_are_rejected_naming_both_versions() {
     drop(build_persistent(&dir, false));
     let meta = dir.join("store").join("xrank-meta.bin");
     let mut bytes = std::fs::read(&meta).unwrap();
-    assert_eq!(bytes[4..8], 4u32.to_le_bytes(), "the version this build writes");
-    // The three retired versions and one from the future.
-    for version in [1u32, 2, 3, 99] {
+    assert_eq!(bytes[4..8], 5u32.to_le_bytes(), "the version this build writes");
+    // The four retired versions and one from the future.
+    for version in [1u32, 2, 3, 4, 99] {
         bytes[4..8].copy_from_slice(&version.to_le_bytes()); // version after magic
         std::fs::write(&meta, &bytes).unwrap();
         let err = XRankEngine::open(&dir, EngineConfig::default()).err().expect("must fail");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         let msg = err.to_string();
         assert!(
-            msg.contains(&format!("version {version} ")) && msg.contains("reads version 4 only"),
+            msg.contains(&format!("version {version} ")) && msg.contains("reads version 5 only"),
             "undescriptive error: {msg}"
         );
     }

@@ -175,64 +175,6 @@ pub fn decode_id(mut buf: &[u8]) -> Result<DeweyId, DecodeError> {
     Ok(DeweyId::from_components(components))
 }
 
-/// Shared-prefix delta compression for *sorted* sequences of Dewey IDs, the
-/// on-page posting format of DIL/RDIL/HDIL lists.
-///
-/// Each entry stores the number of leading components shared with the
-/// previous ID (itself ordered-varint encoded) followed by the encodings of
-/// the differing suffix components. Sorted Dewey lists share long prefixes
-/// (all postings of a document share at least the document component), so
-/// this recovers most of the redundancy the naive index pays for explicitly.
-pub mod prefix {
-    use super::*;
-
-    /// Appends the delta encoding of `cur` relative to `prev` to `out`.
-    /// `prev == None` encodes `cur` in full (shared prefix 0).
-    pub fn encode_delta(prev: Option<&DeweyId>, cur: &DeweyId, out: &mut Vec<u8>) {
-        let shared = prev.map_or(0, |p| p.common_prefix_len(cur));
-        write_component(shared as u32, out);
-        write_component((cur.len() - shared) as u32, out);
-        for &c in &cur.components()[shared..] {
-            write_component(c, out);
-        }
-    }
-
-    /// Size of [`encode_delta`]'s output without materializing it.
-    pub fn delta_len(prev: Option<&DeweyId>, cur: &DeweyId) -> usize {
-        let shared = prev.map_or(0, |p| p.common_prefix_len(cur));
-        component_encoded_len(shared as u32)
-            + component_encoded_len((cur.len() - shared) as u32)
-            + cur.components()[shared..]
-                .iter()
-                .map(|&c| component_encoded_len(c))
-                .sum::<usize>()
-    }
-
-    /// Decodes one delta entry from the front of `buf`, reconstructing the
-    /// full ID against `prev`. Returns the ID and bytes consumed.
-    pub fn decode_delta(
-        prev: Option<&DeweyId>,
-        buf: &[u8],
-    ) -> Result<(DeweyId, usize), DecodeError> {
-        let (shared, mut off) = read_component(buf)?;
-        let (suffix_len, n) = read_component(&buf[off..])?;
-        off += n;
-        let shared = shared as usize;
-        let mut components = match prev {
-            Some(p) if shared <= p.len() => p.components()[..shared].to_vec(),
-            None if shared == 0 => Vec::new(),
-            _ => return Err(DecodeError::Truncated),
-        };
-        components.reserve(suffix_len as usize);
-        for _ in 0..suffix_len {
-            let (v, n) = read_component(&buf[off..])?;
-            components.push(v);
-            off += n;
-        }
-        Ok((DeweyId::from_components(components), off))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,54 +273,6 @@ mod tests {
         let mut buf = vec![0xF0];
         buf.extend_from_slice(&u32::MAX.to_be_bytes());
         assert_eq!(read_component(&buf), Err(DecodeError::Overflow));
-    }
-
-    #[test]
-    fn delta_compression_roundtrip_and_savings() {
-        let ids = [
-            DeweyId::from([5, 0, 3, 0, 0]),
-            DeweyId::from([5, 0, 3, 0, 1]),
-            DeweyId::from([5, 0, 3, 8, 3]),
-            DeweyId::from([6, 0, 3, 8, 3]),
-        ];
-        let mut buf = Vec::new();
-        let mut prev: Option<DeweyId> = None;
-        for id in &ids {
-            prefix::encode_delta(prev.as_ref(), id, &mut buf);
-            prev = Some(id.clone());
-        }
-        // decode back
-        let mut off = 0;
-        let mut prev: Option<DeweyId> = None;
-        for id in &ids {
-            let (got, n) = prefix::decode_delta(prev.as_ref(), &buf[off..]).unwrap();
-            assert_eq!(&got, id);
-            off += n;
-            prev = Some(got);
-        }
-        assert_eq!(off, buf.len());
-        // deltas beat full encodings for this clustered list
-        let full: usize = ids.iter().map(encoded_len).sum();
-        assert!(buf.len() < full + 2 * ids.len(), "delta encoding unexpectedly large");
-    }
-
-    #[test]
-    fn delta_len_matches_encoding() {
-        let a = DeweyId::from([5, 0, 3, 0, 0]);
-        let b = DeweyId::from([5, 0, 3, 200, 1]);
-        let mut buf = Vec::new();
-        prefix::encode_delta(Some(&a), &b, &mut buf);
-        assert_eq!(buf.len(), prefix::delta_len(Some(&a), &b));
-    }
-
-    #[test]
-    fn delta_decode_rejects_bad_shared_prefix() {
-        // shared=3 against a prev of length 2 is invalid
-        let mut buf = Vec::new();
-        write_component(3, &mut buf);
-        write_component(0, &mut buf);
-        let prev = DeweyId::from([1, 2]);
-        assert!(prefix::decode_delta(Some(&prev), &buf).is_err());
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! component"): a prefix-free, order-preserving varint per component, so
 //! that *byte-lexicographic comparison of encoded IDs equals logical
 //! comparison* — the disk B+-tree compares raw key bytes without decoding.
-//! [`codec::prefix`] adds shared-prefix delta compression for sorted posting
-//! lists.
+//! (Posting lists delta-encode IDs within a block on top of this; see
+//! `xrank_index::block`.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

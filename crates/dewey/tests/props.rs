@@ -3,7 +3,7 @@
 //! prefix algebra of Dewey IDs.
 
 use proptest::prelude::*;
-use xrank_dewey::codec::{self, prefix};
+use xrank_dewey::codec;
 use xrank_dewey::DeweyId;
 
 /// Components drawn to cross all varint tiers with reasonable probability.
@@ -56,26 +56,6 @@ proptest! {
     }
 
     #[test]
-    fn delta_stream_roundtrip(mut ids in proptest::collection::vec(dewey(), 1..40)) {
-        ids.sort();
-        let mut buf = Vec::new();
-        let mut prev: Option<DeweyId> = None;
-        for id in &ids {
-            prefix::encode_delta(prev.as_ref(), id, &mut buf);
-            prev = Some(id.clone());
-        }
-        let mut off = 0;
-        let mut prev: Option<DeweyId> = None;
-        for id in &ids {
-            let (got, n) = prefix::decode_delta(prev.as_ref(), &buf[off..]).unwrap();
-            prop_assert_eq!(&got, id);
-            off += n;
-            prev = Some(got);
-        }
-        prop_assert_eq!(off, buf.len());
-    }
-
-    #[test]
     fn common_prefix_is_deepest_common_ancestor(a in dewey(), b in dewey()) {
         let p = a.common_prefix(&b);
         prop_assert!(p.is_ancestor_or_self_of(&a));
@@ -111,6 +91,5 @@ proptest! {
     #[test]
     fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
         let _ = codec::decode_id(&bytes);
-        let _ = prefix::decode_delta(None, &bytes);
     }
 }

@@ -114,16 +114,16 @@ impl HdilIndex {
             .map_or(0, |i| i.meta.entry_count)
     }
 
-    /// The Section 4.3.2 probe against the Dewey-sorted list: smallest
-    /// posting with `dewey >= target` and its predecessor — one probe of a
-    /// fresh [`HdilProbeCursor`], so there is exactly one probe
-    /// implementation.
+    /// The Section 4.3.2 probe against the Dewey-sorted list: the
+    /// smallest Dewey ID `>= target` in `term`'s list and its predecessor
+    /// — one probe of a fresh [`HdilProbeCursor`], so there is exactly one
+    /// probe implementation.
     pub fn lowest_geq<S: PageStore>(
         &self,
         pool: &BufferPool<S>,
         term: TermId,
         target: &DeweyId,
-    ) -> StorageResult<(Option<Posting>, Option<Posting>)> {
+    ) -> StorageResult<(Option<DeweyId>, Option<DeweyId>)> {
         self.probe_cursor(term).lowest_geq(pool, target)
     }
 
@@ -210,7 +210,8 @@ impl HdilIndex {
 /// HDIL's B+-tree leaves *are* the list pages (Section 4.4.1), and the
 /// skip table already names the one block (≤ 127 entries) that can hold
 /// the target, so a probe is a binary search in memory plus one block scan
-/// off the pinned page.
+/// off the pinned page. Answers are the Dewey IDs the scan decodes anyway;
+/// no rank or positions are read.
 #[derive(Debug, Clone)]
 pub struct HdilProbeCursor {
     segment: SegmentId,
@@ -237,12 +238,12 @@ impl HdilProbeCursor {
         self.decoded
     }
 
-    /// Smallest posting with `dewey >= target`, and its predecessor.
+    /// Smallest Dewey ID `>= target` in the list, and its predecessor.
     pub fn lowest_geq<S: PageStore>(
         &mut self,
         pool: &BufferPool<S>,
         target: &DeweyId,
-    ) -> StorageResult<(Option<Posting>, Option<Posting>)> {
+    ) -> StorageResult<(Option<DeweyId>, Option<DeweyId>)> {
         let Some(skip) = self.skip.as_deref() else {
             return Ok((None, None));
         };
@@ -350,16 +351,8 @@ mod tests {
         for probe in &probes {
             let (he, hp) = hdil.lowest_geq(&pool, term, probe).unwrap();
             let (re, rp) = rdil.lowest_geq(&pool, term, probe).unwrap();
-            assert_eq!(
-                he.as_ref().map(|p| &p.dewey),
-                re.as_ref().map(|p| &p.dewey),
-                "entry mismatch at {probe}"
-            );
-            assert_eq!(
-                hp.as_ref().map(|p| &p.dewey),
-                rp.as_ref().map(|p| &p.dewey),
-                "pred mismatch at {probe}"
-            );
+            assert_eq!(he, re, "entry mismatch at {probe}");
+            assert_eq!(hp, rp, "pred mismatch at {probe}");
         }
     }
 
@@ -487,9 +480,10 @@ mod tests {
     }
 
     /// Brute-force `lowest_geq` over the decoded list.
-    fn oracle(postings: &[Posting], target: &DeweyId) -> (Option<Posting>, Option<Posting>) {
+    fn oracle(postings: &[Posting], target: &DeweyId) -> (Option<DeweyId>, Option<DeweyId>) {
         let at = postings.partition_point(|p| p.dewey < *target);
-        (postings.get(at).cloned(), at.checked_sub(1).map(|i| postings[i].clone()))
+        let id = |i: usize| postings.get(i).map(|p| p.dewey.clone());
+        (id(at), at.checked_sub(1).and_then(id))
     }
 
     /// Probes `targets` in order through one cursor, checking every answer

@@ -809,15 +809,16 @@ impl<C: BlockCodec> ListReader<C> {
     }
 }
 
-/// What one [`scan_block`] call found.
+/// What one [`scan_block`] call found: Dewey IDs only — a probe reads
+/// nothing else of its answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockScan {
-    /// Last posting of the block sorting below the target (`None` when
-    /// the block's first posting already reaches it).
-    pub below: Option<Posting>,
-    /// First posting of the block at or above the target (`None` when the
-    /// whole block sorts below it, or no target was given).
-    pub at_or_above: Option<Posting>,
+    /// ID of the block's last posting sorting below the target (`None`
+    /// when the block's first posting already reaches it).
+    pub below: Option<DeweyId>,
+    /// ID of the block's first posting at or above the target (`None` when
+    /// the whole block sorts below it, or no target was given).
+    pub at_or_above: Option<DeweyId>,
     /// Entries examined.
     pub decoded: u32,
 }
@@ -826,10 +827,10 @@ pub struct BlockScan {
 /// to the first posting with `dewey >= target` — the unit of work of an
 /// HDIL probe, which the skip table has already narrowed to this one
 /// block. With no target the whole block is passed and `below` is its last
-/// posting. Entries on the way are only compared: their IDs are decoded
-/// into two reused buffers and their positions skipped, and only the (at
-/// most two) answering entries are materialized. `page` must already be
-/// checksummed (see [`pin_page`]).
+/// posting. IDs are decoded into two reused buffers and compared; ranks
+/// and positions are skipped, and the (at most two) answering IDs are
+/// moved out of the buffers. `page` must already be checksummed (see
+/// [`pin_page`]).
 pub fn scan_block(
     page: &[u8],
     offset: usize,
@@ -839,36 +840,21 @@ pub fn scan_block(
         page.get(off..).ok_or_else(|| StorageError::corrupt("block scan overruns page"))
     };
     let bad = |e: DecodeError| StorageError::corrupt(format!("block scan: {e}"));
-    // Materializes the entry whose rank index starts at `payload`. Not
-    // shared with `block::decode_entry`: splitting that function to reuse
-    // its tail here cost the list readers 2–3 % on their per-entry path.
-    let posting = |components: &[u32], ranks: &[f32], payload: usize| {
-        let (idx, n) = codec::read_component(rest(payload)?).map_err(bad)?;
-        let rank = *ranks
-            .get(idx as usize)
-            .ok_or_else(|| StorageError::corrupt("block scan: rank index outside dictionary"))?;
-        let (positions, _) = posting::decode_positions(rest(payload + n)?).map_err(bad)?;
-        let dewey = DeweyId::from_components(components.to_vec());
-        Ok::<_, StorageError>(Posting { elem: 0, dewey, rank, positions })
-    };
 
     let (count, n) = codec::read_component(rest(offset)?).map_err(bad)?;
     let mut off = offset + n;
-    let (ranks, n) = block::RankDict::read(rest(off)?).map_err(bad)?;
+    let (_, n) = block::RankDict::read(rest(off)?).map_err(bad)?;
     off += n;
-    // `cur`/`cur_payload`: the entry just decoded; `prev`/`prev_payload`:
-    // the one before it (the delta base, and the predecessor on a hit).
+    // `cur`: the entry just decoded; `prev`: the one before it (the delta
+    // base, and the predecessor on a hit).
     let (mut cur, mut prev) = (Vec::new(), Vec::new());
-    let mut cur_payload = None;
     for i in 0..count {
         std::mem::swap(&mut cur, &mut prev);
-        let prev_payload = cur_payload;
         off += block::decode_dewey_into(&prev, rest(off)?, &mut cur).map_err(bad)?;
-        cur_payload = Some(off);
         if target.is_some_and(|t| cur.as_slice() >= t.components()) {
             return Ok(BlockScan {
-                below: prev_payload.map(|p| posting(&prev, &ranks, p)).transpose()?,
-                at_or_above: Some(posting(&cur, &ranks, off)?),
+                below: (i > 0).then(|| DeweyId::from_components(prev)),
+                at_or_above: Some(DeweyId::from_components(cur)),
                 decoded: i + 1,
             });
         }
@@ -877,7 +863,7 @@ pub fn scan_block(
         off += posting::skip_positions(rest(off)?).map_err(bad)?;
     }
     Ok(BlockScan {
-        below: cur_payload.map(|p| posting(&cur, &ranks, p)).transpose()?,
+        below: (count > 0).then(|| DeweyId::from_components(cur)),
         at_or_above: None,
         decoded: count,
     })
@@ -994,16 +980,18 @@ mod tests {
             let mut block = Vec::new();
             block::decode_block(&page, b.offset as usize, &mut block).unwrap();
             // Every posting of the block, and the gap right after it.
+            let id = |j: usize| block.get(j).map(|p| &p.dewey);
             for (i, p) in block.iter().enumerate() {
                 for (target, at) in [(p.dewey.clone(), i), (p.dewey.child(0), i + 1)] {
                     let scan = scan_block(&page, b.offset as usize, Some(&target)).unwrap();
-                    assert_eq!(scan.at_or_above.as_ref(), block.get(at), "at {target}");
-                    assert_eq!(scan.below.as_ref(), at.checked_sub(1).map(|j| &block[j]));
+                    assert_eq!(scan.at_or_above.as_ref(), id(at), "at {target}");
+                    assert_eq!(scan.below.as_ref(), at.checked_sub(1).and_then(id));
                     assert_eq!(scan.decoded as usize, (at + 1).min(block.len()));
                 }
             }
             let whole = scan_block(&page, b.offset as usize, None).unwrap();
-            assert_eq!((whole.below.as_ref(), whole.at_or_above), (block.last(), None));
+            let last = block.last().map(|p| &p.dewey);
+            assert_eq!((whole.below.as_ref(), whole.at_or_above), (last, None));
             assert_eq!(whole.decoded as usize, block.len());
         }
     }

@@ -11,10 +11,10 @@
 use crate::listio::{self, ListInfo, ListMeta, ListReader, PostingCodec};
 use crate::posting::{self, Posting};
 use crate::SpaceBreakdown;
-use xrank_dewey::DeweyId;
+use xrank_dewey::{codec, DeweyId};
 use xrank_graph::TermId;
 use xrank_storage::btree::{CursorStats, SortedKv, SortedKvBuilder, TreeCursor};
-use xrank_storage::{BufferPool, PageStore, SegmentId, StorageResult, PAGE_SIZE};
+use xrank_storage::{BufferPool, PageStore, SegmentId, StorageError, StorageResult, PAGE_SIZE};
 
 /// A built RDIL: rank-ordered lists + the composite Dewey B+-tree.
 #[derive(Debug)]
@@ -100,20 +100,16 @@ impl RdilIndex {
     }
 
     /// The Figure 7 probe (`getLongestCommonPrefix` building block): the
-    /// smallest Dewey ≥ `target` in `term`'s list and its predecessor,
-    /// both restricted to `term`.
+    /// smallest Dewey ID ≥ `target` in `term`'s list and its predecessor,
+    /// both restricted to `term` — one probe of a fresh
+    /// [`RdilProbeCursor`], so there is exactly one probe implementation.
     pub fn lowest_geq<S: PageStore>(
         &self,
         pool: &BufferPool<S>,
         term: TermId,
         target: &DeweyId,
-    ) -> StorageResult<(Option<Posting>, Option<Posting>)> {
-        let key = posting::composite_key(term.0, target);
-        let (entry, pred) = self.tree.lowest_geq(pool, &key)?;
-        Ok((
-            entry.and_then(|e| decode_tree_entry(term, &e.key, &e.value)),
-            pred.and_then(|e| decode_tree_entry(term, &e.key, &e.value)),
-        ))
+    ) -> StorageResult<(Option<DeweyId>, Option<DeweyId>)> {
+        self.probe_cursor(term).lowest_geq(pool, target)
     }
 
     /// Opens a stateful probe cursor for `term` — the hot-path form of
@@ -121,7 +117,9 @@ impl RdilIndex {
     /// TA rounds, turns the ~monotone probe sequence of Figure 7 into
     /// forward seeks on a pinned leaf instead of a root descent each.
     pub fn probe_cursor(&self, term: TermId) -> RdilProbeCursor {
-        RdilProbeCursor { term, cursor: self.tree.cursor(), decoded: 0 }
+        let mut term_key = Vec::new();
+        codec::write_component(term.0, &mut term_key);
+        RdilProbeCursor { term_key, key: Vec::new(), cursor: self.tree.cursor(), decoded: 0 }
     }
 
     /// All postings of `term` whose Dewey has `prefix` as a prefix — the
@@ -191,12 +189,17 @@ impl RdilIndex {
 
 /// A per-keyword stateful probe cursor over the composite B+-tree: a
 /// [`TreeCursor`] whose answers are restricted to one term's key space.
-/// Returns exactly what [`RdilIndex::lowest_geq`] returns for every
-/// target, while serving the TA loop's advancing probes from the pinned
-/// leaf instead of re-descending from the root.
+/// Serves the TA loop's advancing probes from the pinned leaf instead of
+/// re-descending from the root. An answer is the Dewey ID decoded from the
+/// entry's key, read in place on the pinned leaf; the payload (rank and
+/// positions) is never decoded — Figure 7 reads only the common prefix.
 #[derive(Debug, Clone)]
 pub struct RdilProbeCursor {
-    term: TermId,
+    /// The term's composite-key prefix (its ordered-varint id). The code
+    /// is prefix-free, so a key starts with it exactly when it is `term`'s.
+    term_key: Vec<u8>,
+    /// Reused probe-key buffer: `term_key` then the target's encoding.
+    key: Vec<u8>,
     cursor: TreeCursor,
     decoded: u64,
 }
@@ -207,23 +210,32 @@ impl RdilProbeCursor {
         self.cursor.stats()
     }
 
-    /// Tree entries decoded into postings by the probes so far (the leaf
+    /// Tree keys decoded into Dewey IDs by the probes so far (the leaf
     /// search itself compares encoded keys and decodes nothing).
     pub fn postings_decoded(&self) -> u64 {
         self.decoded
     }
 
-    /// Stateful [`RdilIndex::lowest_geq`]: identical answers, amortized
-    /// probe cost.
+    /// The smallest Dewey ID ≥ `target` in the term's list, and its
+    /// predecessor; `None` past either end of the term's key space.
     pub fn lowest_geq<S: PageStore>(
         &mut self,
         pool: &BufferPool<S>,
         target: &DeweyId,
-    ) -> StorageResult<(Option<Posting>, Option<Posting>)> {
-        let key = posting::composite_key(self.term.0, target);
-        let (entry, pred) = self.cursor.seek_geq(pool, &key)?;
-        let entry = entry.and_then(|e| decode_tree_entry(self.term, &e.key, &e.value));
-        let pred = pred.and_then(|e| decode_tree_entry(self.term, &e.key, &e.value));
+    ) -> StorageResult<(Option<DeweyId>, Option<DeweyId>)> {
+        self.key.clear();
+        self.key.extend_from_slice(&self.term_key);
+        codec::encode_id_into(target, &mut self.key);
+        let term_key = self.term_key.as_slice();
+        let (entry, pred) = self.cursor.seek_geq_by(pool, &self.key, |leaf, loc| {
+            match leaf.key(loc.slot as usize)?.strip_prefix(term_key) {
+                Some(dewey) => codec::decode_id(dewey)
+                    .map(Some)
+                    .map_err(|e| StorageError::corrupt(format!("RDIL tree key: {e}"))),
+                None => Ok(None),
+            }
+        })?;
+        let (entry, pred) = (entry.flatten(), pred.flatten());
         self.decoded += entry.is_some() as u64 + pred.is_some() as u64;
         Ok((entry, pred))
     }
@@ -293,7 +305,7 @@ mod tests {
         assert!(entry.is_some());
         // the predecessor, if any, must belong to this term
         if let Some(p) = pred {
-            assert!(p.dewey.doc().is_some());
+            assert!(p.doc().is_some());
         }
     }
 
@@ -305,9 +317,9 @@ mod tests {
         let (entry, _) = idx.lowest_geq(&pool, term, &DeweyId::from([0])).unwrap();
         let first = entry.unwrap();
         // Probing exactly that Dewey returns it again.
-        let (again, pred) = idx.lowest_geq(&pool, term, &first.dewey).unwrap();
-        assert_eq!(again.unwrap().dewey, first.dewey);
-        assert!(pred.is_none() || pred.unwrap().dewey < first.dewey);
+        let (again, pred) = idx.lowest_geq(&pool, term, &first).unwrap();
+        assert_eq!(again.unwrap(), first);
+        assert!(pred.is_none() || pred.unwrap() < first);
     }
 
     #[test]

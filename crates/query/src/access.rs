@@ -8,24 +8,24 @@ use xrank_index::posting::Posting;
 use xrank_index::{HdilIndex, HdilProbeCursor, RdilIndex, RdilProbeCursor};
 use xrank_storage::{BufferPool, CursorStats, PageStore, StorageResult};
 
-/// A stateful `lowest_geq` probe handle for one keyword.
+/// A stateful `lowest_geq` probe handle for one keyword — the only way
+/// the Figure 7 TA loop probes an index.
 ///
-/// Unlike [`RankedAccess::lowest_geq`] — which re-descends the B+-tree
-/// from the root on every call — a cursor pins its current leaf and
-/// serves monotonically non-decreasing targets by seeking forward from
-/// its last position. The Figure 7 TA loop holds one cursor per keyword
-/// across all rounds, so the common case (probe targets that creep
-/// forward in Dewey order) costs a bounded leaf walk instead of a full
-/// descent. Answers are identical to a fresh descent for *every* target,
-/// including backward seeks (which transparently re-descend).
+/// A cursor pins its current leaf (RDIL) or page (HDIL) and serves
+/// targets near its last position without re-descending from the root.
+/// The TA loop holds one cursor per keyword across all rounds, so the
+/// common case (probe targets that stay within a few leaves) costs a
+/// bounded leaf walk instead of a full descent. Answers are identical to
+/// a fresh cursor's for *every* target.
 pub trait ProbeCursor<S: PageStore> {
-    /// The Section 4.3.2 probe, served statefully: smallest posting with
-    /// `dewey >= target`, and its predecessor.
+    /// The Section 4.3.2 probe, served statefully: the smallest Dewey ID
+    /// `>= target` in the keyword's list, and its predecessor. Only the
+    /// IDs: Figure 7 reads nothing but their common prefix with `target`.
     fn lowest_geq(
         &mut self,
         pool: &BufferPool<S>,
         target: &DeweyId,
-    ) -> StorageResult<(Option<Posting>, Option<Posting>)>;
+    ) -> StorageResult<(Option<DeweyId>, Option<DeweyId>)>;
 
     /// Probe counters so far
     /// (`probes = seeks_forward + seeks_backward + descents`).
@@ -40,7 +40,7 @@ impl<S: PageStore> ProbeCursor<S> for RdilProbeCursor {
         &mut self,
         pool: &BufferPool<S>,
         target: &DeweyId,
-    ) -> StorageResult<(Option<Posting>, Option<Posting>)> {
+    ) -> StorageResult<(Option<DeweyId>, Option<DeweyId>)> {
         RdilProbeCursor::lowest_geq(self, pool, target)
     }
 
@@ -58,7 +58,7 @@ impl<S: PageStore> ProbeCursor<S> for HdilProbeCursor {
         &mut self,
         pool: &BufferPool<S>,
         target: &DeweyId,
-    ) -> StorageResult<(Option<Posting>, Option<Posting>)> {
+    ) -> StorageResult<(Option<DeweyId>, Option<DeweyId>)> {
         HdilProbeCursor::lowest_geq(self, pool, target)
     }
 
@@ -124,16 +124,6 @@ pub trait RankedAccess<S: PageStore> {
     /// Pages in the full Dewey list of `term` (DIL cost estimate).
     fn full_list_pages(&self, term: TermId) -> u32;
 
-    /// The Section 4.3.2 probe: smallest posting of `term` with
-    /// `dewey >= target`, and its predecessor. Fallible: a damaged tree or
-    /// list page surfaces as a [`xrank_storage::StorageError`].
-    fn lowest_geq(
-        &self,
-        pool: &BufferPool<S>,
-        term: TermId,
-        target: &DeweyId,
-    ) -> StorageResult<(Option<Posting>, Option<Posting>)>;
-
     /// Range scan: all postings of `term` under `prefix`, and the number
     /// of entries decoded to produce them.
     fn prefix_postings(
@@ -165,15 +155,6 @@ impl<S: PageStore> RankedAccess<S> for RdilIndex {
 
     fn full_list_pages(&self, term: TermId) -> u32 {
         self.meta(term).map_or(0, |m| m.page_count)
-    }
-
-    fn lowest_geq(
-        &self,
-        pool: &BufferPool<S>,
-        term: TermId,
-        target: &DeweyId,
-    ) -> StorageResult<(Option<Posting>, Option<Posting>)> {
-        RdilIndex::lowest_geq(self, pool, term, target)
     }
 
     fn prefix_postings(
@@ -210,15 +191,6 @@ impl<S: PageStore> RankedAccess<S> for HdilIndex {
 
     fn full_list_pages(&self, term: TermId) -> u32 {
         self.meta(term).map_or(0, |m| m.page_count)
-    }
-
-    fn lowest_geq(
-        &self,
-        pool: &BufferPool<S>,
-        term: TermId,
-        target: &DeweyId,
-    ) -> StorageResult<(Option<Posting>, Option<Posting>)> {
-        HdilIndex::lowest_geq(self, pool, term, target)
     }
 
     fn prefix_postings(

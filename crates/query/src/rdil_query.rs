@@ -16,7 +16,8 @@ use crate::access::{ProbeCursor, RankedAccess};
 use crate::dil_query::occurrence_rank;
 use crate::score::{Aggregation, QueryOptions, TopM};
 use crate::{EvalGuard, EvalStats, QueryError, QueryOutcome};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Bound::{Included, Unbounded};
 use xrank_dewey::DeweyId;
 use xrank_obs::{EventData, QueryTrace, Stage};
 use xrank_graph::TermId;
@@ -24,18 +25,10 @@ use xrank_index::listio::ListReader;
 use xrank_index::posting::Posting;
 use xrank_storage::{BufferPool, PageStore};
 
-/// Upper bound of a memoized probe gap: the answering entry's Dewey ID,
-/// or `Top` when the probe ran past the end of the list.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum GapTop {
-    At(DeweyId),
-    Top,
-}
-
 /// Per-keyword memo of `lowest_geq` answers, keyed by the *gap* each
 /// answer proves empty: a probe returning `(entry, pred)` certifies the
-/// keyword's list holds no posting inside the interval `(pred, entry]`,
-/// so any later target falling in it has the identical answer — the
+/// keyword's list holds no posting inside the interval `(pred, entry)`,
+/// so any later target in `(pred, entry]` has the identical answer — the
 /// index is immutable for the life of the query. Rank-ordered list
 /// consumption makes probe targets jump around Dewey space; gap keying
 /// turns every pair of targets that land between the same two adjacent
@@ -43,31 +36,45 @@ enum GapTop {
 /// exact-target memo would miss.
 #[derive(Default)]
 struct ProbeMemo {
-    /// Gap upper bound → the probe answer whose emptiness proves the gap.
-    gaps: std::collections::BTreeMap<GapTop, (Option<Posting>, Option<Posting>)>,
+    /// Answering entry → its predecessor: the gap `(pred, entry]`.
+    gaps: BTreeMap<DeweyId, Option<DeweyId>>,
+    /// The predecessor of a past-the-end answer (no entry ≥ the target):
+    /// the gap `(pred, ∞)`, unbounded below when the inner `Option` is
+    /// `None` (an empty list).
+    past_end: Option<Option<DeweyId>>,
 }
 
 impl ProbeMemo {
-    /// The memoized answer covering `target`, if some earlier probe's gap
-    /// contains it (`pred < target <= entry`, with open ends at `None`).
-    fn lookup(&self, target: &DeweyId) -> Option<&(Option<Posting>, Option<Posting>)> {
-        use std::ops::Bound;
-        let (_, ans) = self
-            .gaps
-            .range((Bound::Included(GapTop::At(target.clone())), Bound::Unbounded))
-            .next()?;
-        let above_pred = ans.1.as_ref().is_none_or(|p| *target > p.dewey);
-        above_pred.then_some(ans)
+    /// The memoized `(entry, pred)` covering `target`, if some earlier
+    /// probe's gap contains it (`pred < target <= entry`, with open ends
+    /// at `None`). Every recorded entry is a posting, so a target above
+    /// all of them can only be in the past-the-end gap.
+    fn lookup(&self, target: &DeweyId) -> Option<(Option<&DeweyId>, Option<&DeweyId>)> {
+        let above = self.gaps.range::<DeweyId, _>((Included(target), Unbounded)).next();
+        let (entry, pred) = match above {
+            Some((entry, pred)) => (Some(entry), pred.as_ref()),
+            None => (None, self.past_end.as_ref()?.as_ref()),
+        };
+        pred.is_none_or(|p| target > p).then_some((entry, pred))
     }
 
     /// Records a fresh probe answer under the gap it certifies empty.
-    fn insert(&mut self, answer: (Option<Posting>, Option<Posting>)) {
-        let top = match &answer.0 {
-            Some(e) => GapTop::At(e.dewey.clone()),
-            None => GapTop::Top,
-        };
-        self.gaps.insert(top, answer);
+    fn insert(&mut self, (entry, pred): (Option<DeweyId>, Option<DeweyId>)) {
+        match entry {
+            Some(entry) => {
+                self.gaps.insert(entry, pred);
+            }
+            None => self.past_end = Some(pred),
+        }
     }
+}
+
+/// How many leading components of `lcp` a probe answer keeps: the longer
+/// common prefix through the entry or its predecessor (Section 4.3.2:
+/// one of the two shares the longest prefix with the target).
+fn kept_prefix(lcp: &DeweyId, entry: Option<&DeweyId>, pred: Option<&DeweyId>) -> usize {
+    let via = |id: Option<&DeweyId>| id.map_or(0, |id| id.common_prefix_len(lcp));
+    via(entry).max(via(pred))
 }
 
 /// What one [`RdilRun::step`] did.
@@ -276,17 +283,16 @@ impl<'a, S: PageStore, A: RankedAccess<S>> RdilRun<'a, S, A> {
                 continue;
             }
             self.stats.btree_probes += 1;
-            let (entry, pred) = match self.memo[j].lookup(&lcp) {
-                Some(hit) => {
-                    let hit = hit.clone();
+            let keep = match self.memo[j].lookup(&lcp) {
+                Some((entry, pred)) => {
                     self.stats.probe_memo_hits += 1;
                     self.trace.bump(Stage::ProbeMemoHit);
-                    hit
+                    kept_prefix(&lcp, entry, pred)
                 }
                 None => {
                     let before = self.cursors[j].stats();
                     let probe_span = self.trace.span(Stage::BtreeProbe);
-                    let answer = self.cursors[j].lowest_geq(pool, &lcp)?;
+                    let (entry, pred) = self.cursors[j].lowest_geq(pool, &lcp)?;
                     drop(probe_span);
                     // One seek is exactly one forward walk, one backward
                     // walk, or one descent.
@@ -301,13 +307,11 @@ impl<'a, S: PageStore, A: RankedAccess<S>> RdilRun<'a, S, A> {
                         self.stats.cursor_seeks += 1;
                         self.trace.bump(Stage::CursorSeek);
                     }
-                    self.memo[j].insert(answer.clone());
-                    answer
+                    let keep = kept_prefix(&lcp, entry.as_ref(), pred.as_ref());
+                    self.memo[j].insert((entry, pred));
+                    keep
                 }
             };
-            let via_entry = entry.map_or(0, |p| p.dewey.common_prefix_len(&lcp));
-            let via_pred = pred.map_or(0, |p| p.dewey.common_prefix_len(&lcp));
-            let keep = via_entry.max(via_pred);
             if keep < 2 {
                 // No common element (documents differ or only the
                 // artificial collection root is shared).
@@ -487,6 +491,7 @@ pub fn evaluate_traced<S: PageStore, A: RankedAccess<S>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use xrank_graph::{Collection, CollectionBuilder};
     use xrank_index::extract::direct_postings;
     use xrank_index::{DilIndex, RdilIndex};
@@ -599,6 +604,87 @@ mod tests {
             "fixed descent budget exceeded: {} descents",
             s.cursor_descents
         );
+    }
+
+    /// A probe target, resolved against the generated list.
+    #[derive(Debug, Clone)]
+    enum Target {
+        /// The `i % len`-th posting itself: the top of the gap below it.
+        Posting(usize),
+        /// Below the first posting.
+        BelowFirst,
+        /// Past the last posting.
+        PastLast,
+        /// Anywhere in (and around) the list's ID space.
+        Any(DeweyId),
+    }
+
+    fn target() -> impl Strategy<Value = Target> {
+        prop_oneof![
+            3 => (0usize..1000).prop_map(Target::Posting),
+            1 => Just(Target::BelowFirst),
+            1 => Just(Target::PastLast),
+            4 => proptest::collection::vec(0u32..6, 0..5)
+                .prop_map(|c| Target::Any(DeweyId::from_components(c))),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The memo keyed by `DeweyId` answers exactly what a fresh cursor
+        /// answers, for every target it claims to cover — gap tops, targets
+        /// below the first posting and past the last included — and the
+        /// probed term's neighbours in the composite tree never leak in.
+        #[test]
+        fn memo_hits_equal_fresh_probes(
+            ids in proptest::collection::btree_set(
+                proptest::collection::vec(0u32..6, 1..5).prop_map(DeweyId::from_components),
+                0..120,
+            ),
+            targets in proptest::collection::vec(target(), 1..60),
+        ) {
+            let list: Vec<DeweyId> = ids.into_iter().collect();
+            let postings = |ids: &[DeweyId]| -> Vec<Posting> {
+                ids.iter()
+                    .map(|d| Posting { elem: 0, dewey: d.clone(), rank: 1.0, positions: vec![0] })
+                    .collect()
+            };
+            let fence = [DeweyId::from([0]), DeweyId::from([3, 3]), DeweyId::from([9, 9, 9])];
+            let mut pool = BufferPool::new(MemStore::new(), 256);
+            let rdil = RdilIndex::build_with(
+                &mut pool,
+                &[postings(&fence), postings(&list), postings(&fence)],
+                256, // small leaves: the list spans several
+            )
+            .unwrap();
+            let term = TermId(1);
+            let mut memo = ProbeMemo::default();
+            let mut cursor = rdil.probe_cursor(term);
+            for t in &targets {
+                let target = match (t, list.first(), list.last()) {
+                    (Target::Posting(i), Some(_), _) => list[i % list.len()].clone(),
+                    (Target::BelowFirst, Some(first), _) => first.prefix(first.len() - 1),
+                    (Target::PastLast, _, Some(last)) => last.child(0),
+                    (Target::Any(d), _, _) => d.clone(),
+                    _ => DeweyId::from([1]),
+                };
+                let fresh = rdil.probe_cursor(term).lowest_geq(&pool, &target).unwrap();
+                match memo.lookup(&target) {
+                    Some((entry, pred)) => {
+                        let hit = (entry.cloned(), pred.cloned());
+                        prop_assert_eq!(hit, fresh, "hit at {}", target);
+                    }
+                    None => {
+                        let answer = cursor.lowest_geq(&pool, &target).unwrap();
+                        prop_assert_eq!(&answer, &fresh, "cursor at {}", target);
+                        memo.insert(answer);
+                        let covered = memo.lookup(&target).is_some();
+                        prop_assert!(covered, "own answer not covered at {}", target);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

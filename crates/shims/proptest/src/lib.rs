@@ -8,8 +8,10 @@
 //!
 //! Differences from real proptest: cases are generated from a
 //! deterministic per-test seed, there is **no shrinking**, and
-//! `.proptest-regressions` files are ignored. A failing property panics
-//! with the case number, so failures stay reproducible run-to-run.
+//! `.proptest-regressions` files are ignored. A failing property — a
+//! falsified `prop_assert*!` or a panic in the body — panics with the case
+//! number and that case's inputs (`{:?}` of each, regenerated from a
+//! snapshot of the generator), so failures stay reproducible run-to-run.
 
 #![forbid(unsafe_code)]
 
@@ -60,6 +62,18 @@ macro_rules! __proptest_items {
                         ($($crate::strategy::Strategy::generate(&($strat), __rng),)+);
                     $body
                     Ok(())
+                },
+                // On failure: the same draws, in the same order, printed.
+                |__rng| {
+                    let mut __inputs = ::std::string::String::new();
+                    $(
+                        __inputs.push_str(&::std::format!(
+                            "\n    {} = {:?}",
+                            stringify!($pat),
+                            $crate::strategy::Strategy::generate(&($strat), __rng),
+                        ));
+                    )+
+                    __inputs
                 },
             );
         }

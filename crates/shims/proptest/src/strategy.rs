@@ -1,13 +1,15 @@
 //! The [`Strategy`] trait and the combinators the workspace uses.
 
 use crate::test_runner::TestRng;
+use std::fmt::Debug;
 use std::ops::{Range, RangeInclusive};
 use std::rc::Rc;
 
 /// A recipe for generating values of one type.
 pub trait Strategy {
-    /// The generated type.
-    type Value;
+    /// The generated type (`Debug`, as upstream requires, so a failing
+    /// case can print its inputs).
+    type Value: Debug;
 
     /// Draws one value.
     fn generate(&self, rng: &mut TestRng) -> Self::Value;
@@ -67,6 +69,7 @@ impl<S, F, O> Strategy for Map<S, F>
 where
     S: Strategy,
     F: Fn(S::Value) -> O,
+    O: Debug,
 {
     type Value = O;
     fn generate(&self, rng: &mut TestRng) -> O {
@@ -83,7 +86,7 @@ impl<T> Clone for BoxedStrategy<T> {
     }
 }
 
-impl<T> Strategy for BoxedStrategy<T> {
+impl<T: Debug> Strategy for BoxedStrategy<T> {
     type Value = T;
     fn generate(&self, rng: &mut TestRng) -> T {
         self.0.generate(rng)
@@ -105,7 +108,7 @@ impl<T> Union<T> {
     }
 }
 
-impl<T> Strategy for Union<T> {
+impl<T: Debug> Strategy for Union<T> {
     type Value = T;
     fn generate(&self, rng: &mut TestRng) -> T {
         let mut pick = rng.below(self.total);
@@ -123,7 +126,7 @@ impl<T> Strategy for Union<T> {
 #[derive(Clone, Debug)]
 pub struct Just<T: Clone>(pub T);
 
-impl<T: Clone> Strategy for Just<T> {
+impl<T: Clone + Debug> Strategy for Just<T> {
     type Value = T;
     fn generate(&self, _rng: &mut TestRng) -> T {
         self.0.clone()
@@ -131,7 +134,7 @@ impl<T: Clone> Strategy for Just<T> {
 }
 
 /// Types with a canonical "any value" strategy.
-pub trait Arbitrary: Sized {
+pub trait Arbitrary: Sized + Debug {
     /// Draws an unconstrained value.
     fn arbitrary(rng: &mut TestRng) -> Self;
 }

@@ -2,6 +2,8 @@
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 
 /// Configuration for a `proptest!` block (`ProptestConfig` in the
 /// prelude). Construct with struct-update syntax over `default()`.
@@ -27,7 +29,9 @@ pub enum TestCaseError {
     Reject,
 }
 
-/// Deterministic per-test random source handed to strategies.
+/// Deterministic per-test random source handed to strategies. Cloning it
+/// snapshots the stream, so a case's inputs can be drawn again.
+#[derive(Clone)]
 pub struct TestRng {
     inner: StdRng,
 }
@@ -66,19 +70,29 @@ impl TestRng {
 }
 
 /// Runs one property: draws inputs until `config.cases` cases pass,
-/// panicking on the first falsified case (no shrinking).
-pub fn run_cases<F>(name: &str, config: &Config, mut case: F)
+/// panicking on the first falsified or panicking case (no shrinking).
+///
+/// `describe` draws the same inputs `case` draws and formats them; it runs
+/// only on failure, from a snapshot of the generator taken before the
+/// case, so the failure message names the inputs that caused it. A passing
+/// case costs one generator clone.
+pub fn run_cases<F, D>(name: &str, config: &Config, mut case: F, mut describe: D)
 where
     F: FnMut(&mut TestRng) -> Result<(), TestCaseError>,
+    D: FnMut(&mut TestRng) -> String,
 {
     let mut rng = TestRng::from_name(name);
     let mut passed: u32 = 0;
     let mut rejected: u64 = 0;
     let reject_budget = config.cases as u64 * config.max_global_rejects as u64;
     while passed < config.cases {
-        match case(&mut rng) {
-            Ok(()) => passed += 1,
-            Err(TestCaseError::Reject) => {
+        let mut snapshot = rng.clone();
+        let failure = match panic::catch_unwind(AssertUnwindSafe(|| case(&mut rng))) {
+            Ok(Ok(())) => {
+                passed += 1;
+                continue;
+            }
+            Ok(Err(TestCaseError::Reject)) => {
                 rejected += 1;
                 if rejected > reject_budget {
                     panic!(
@@ -86,13 +100,24 @@ where
                          ({rejected} rejects for {passed} passes)"
                     );
                 }
+                continue;
             }
-            Err(TestCaseError::Fail(msg)) => {
-                panic!(
-                    "property `{name}` falsified at case {} (after {rejected} rejects): {msg}",
-                    passed + 1
-                );
-            }
-        }
+            Ok(Err(TestCaseError::Fail(msg))) => format!("falsified: {msg}"),
+            Err(payload) => format!("panicked: {}", panic_message(&*payload)),
+        };
+        panic!(
+            "property `{name}` {failure}\n  at case {} (after {rejected} rejects), inputs:{}",
+            passed + 1,
+            describe(&mut snapshot)
+        );
+    }
+}
+
+/// The message of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(s), _) => s,
+        (_, Some(s)) => s,
+        _ => "<non-string panic payload>",
     }
 }

@@ -14,28 +14,46 @@
 //!   d₃, shares the longest common prefix with d"), plus bidirectional
 //!   cursors and range scans.
 //!
-//! Leaf pages are decoded through [`LeafView`]: a pinned [`PageRef`] plus a
-//! slot directory of offsets, so key comparisons borrow bytes straight from
-//! the buffer-pool frame instead of copying every entry into scratch
-//! vectors. [`TreeCursor`] builds on that to serve the TA loop's
-//! monotonically advancing probes from the pinned leaf (or a short forward
-//! sibling walk) without re-descending from the root each time.
+//! Page layouts (all integers little-endian):
+//!
+//! ```text
+//! interior: [n: u16] ([klen: u16] [key] [child: u32]) × n
+//! leaf:     [off_0 … off_n: u16] entry_0 … entry_{n-1}
+//!           entry_i = [klen: u16] [key] [value], spanning off_i..off_{i+1}
+//! ```
+//!
+//! A leaf's slot directory has one offset more than it has entries, so
+//! `n = off_0 / 2 − 1` and each value's length is the gap between its key
+//! and the next offset; an empty leaf is the two bytes `[2, 0]`. The
+//! directory costs what the count field and per-entry value lengths it
+//! replaces cost, so leaves hold exactly as many entries as before it.
+//!
+//! Leaves are searched in place through [`LeafView`]: a pinned [`PageRef`]
+//! and the entry count, nothing decoded up front. `lower_bound` is a
+//! binary search over the directory that reads only the slots it visits,
+//! so a probe touches O(log n) entries of a leaf instead of walking all of
+//! them. [`TreeCursor`] builds on that to serve the TA loop's probes from
+//! the pinned leaf (or a short sibling walk) without re-descending from
+//! the root each time, and [`TreeCursor::seek_geq_by`] lets a caller read
+//! just the part of an answer entry it needs while the leaf is pinned.
 //!
 //! Trees are built by offline bulk load from sorted input (the paper builds
 //! its indexes offline; Section 4.5). Leaf pages occupy offsets
 //! `0..leaf_count` of a fresh segment so sibling navigation is implicit
 //! page arithmetic; interior pages follow in the same segment.
 //!
-//! Every probe returns a [`StorageResult`]: page decoding is fully bounds-
-//! checked, so a corrupted page (bit rot that slipped past the medium's
-//! own checks) degrades into [`StorageError::Corrupt`] instead of a panic.
+//! Every probe returns a [`StorageResult`]: each directory slot a search
+//! touches is bounds-checked, so a corrupted page (bit rot that slipped
+//! past the medium's own checks) degrades into [`StorageError::Corrupt`]
+//! instead of a panic.
 
 use crate::error::{StorageError, StorageResult};
 use crate::pool::{BufferPool, PageRef};
 use crate::store::{PageId, PageStore, SegmentId, PAGE_SIZE};
 
-/// Max bytes of one leaf entry (key + value + 4-byte lengths); anything
-/// larger cannot share a page with the header.
+/// Max bytes of one leaf entry (key + value + its 2-byte key length and
+/// 2-byte directory slot); anything larger cannot share a page with the
+/// directory's leading offset.
 pub const MAX_ENTRY: usize = PAGE_SIZE - 8;
 
 // ---------------------------------------------------------------------
@@ -226,108 +244,108 @@ pub struct Entry {
     pub loc: EntryLoc,
 }
 
-/// One slot of a decoded leaf: byte offsets into the pinned page.
-#[derive(Debug, Clone, Copy)]
-struct LeafSlot {
-    key_off: u32,
-    klen: u16,
-    vlen: u16,
-}
-
-/// A leaf page pinned in memory with a parsed slot directory.
+/// A leaf page pinned in memory, searched in place through its slot
+/// directory.
 ///
 /// Keys and values are borrowed straight from the frame bytes — the
-/// [`PageRef`] keeps the frame alive for the view's lifetime, so probing
-/// and scanning never copy entries into scratch vectors. Parsing the
-/// directory is done once per page read; every subsequent key comparison
-/// is a bounds-known slice compare.
+/// [`PageRef`] keeps the frame alive for the view's lifetime. Opening a
+/// view checks only the directory's leading offset; every slot is
+/// bounds-checked when it is read, so a search pays for the slots it
+/// visits and nothing else.
 #[derive(Debug, Clone)]
 pub struct LeafView {
     page: PageRef,
-    slots: Vec<LeafSlot>,
+    n: usize,
 }
 
 impl LeafView {
-    /// Parses the slot directory of one leaf page, pinning the frame.
+    /// Opens one leaf page, pinning the frame. Checks that the
+    /// directory's leading offset `off_0` is even, at least 2, and within
+    /// the page (the directory is `off_0` bytes long).
     pub fn parse(page: PageRef) -> StorageResult<LeafView> {
-        let slots = Self::parse_slots(&page)?;
-        Ok(LeafView { page, slots })
-    }
-
-    /// Bounds-checks the `[n] (klen, vlen, key, value)×n` layout.
-    fn parse_slots(page: &[u8]) -> StorageResult<Vec<LeafSlot>> {
-        let n = get_u16(page, 0)? as usize;
-        let mut off = 2usize;
-        let mut slots = Vec::with_capacity(n.min(PAGE_SIZE / 4));
-        for _ in 0..n {
-            let klen = get_u16(page, off)? as usize;
-            let vlen = get_u16(page, off + 2)? as usize;
-            if page.len() < off + 4 + klen + vlen {
-                return Err(StorageError::corrupt("leaf entry overruns page"));
-            }
-            slots.push(LeafSlot {
-                key_off: (off + 4) as u32,
-                klen: klen as u16,
-                vlen: vlen as u16,
-            });
-            off += 4 + klen + vlen;
+        let off0 = get_u16(&page, 0)? as usize;
+        if off0 < 2 || !off0.is_multiple_of(2) || off0 > page.len() {
+            return Err(StorageError::corrupt(format!(
+                "leaf directory of {off0} bytes is not an even length in 2..={}",
+                page.len()
+            )));
         }
-        Ok(slots)
+        Ok(LeafView { page, n: off0 / 2 - 1 })
     }
 
     /// Number of entries in the leaf.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.n
     }
 
     /// Whether the leaf holds no entries (only the empty tree's leaf).
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.n == 0
+    }
+
+    /// Byte ranges of `slot`'s key and value, with every offset checked:
+    /// `off_slot ≥ 2(n+1)` and `off_slot + 2 + klen ≤ off_{slot+1} ≤ page
+    /// length`.
+    fn spans(&self, slot: usize) -> StorageResult<(usize, usize, usize)> {
+        if slot >= self.n {
+            return Err(StorageError::corrupt("leaf slot past the directory"));
+        }
+        let start = get_u16(&self.page, 2 * slot)? as usize;
+        let end = get_u16(&self.page, 2 * slot + 2)? as usize;
+        if start < 2 * (self.n + 1) || end > self.page.len() {
+            return Err(StorageError::corrupt("leaf slot offset outside the entry area"));
+        }
+        let key_end = start + 2 + get_u16(&self.page, start)? as usize;
+        if key_end > end {
+            return Err(StorageError::corrupt("leaf entry key overruns its slot"));
+        }
+        Ok((start + 2, key_end, end))
     }
 
     /// The key bytes of `slot`, borrowed from the pinned page.
-    pub fn key(&self, slot: usize) -> &[u8] {
-        let s = &self.slots[slot];
-        &self.page[s.key_off as usize..s.key_off as usize + s.klen as usize]
+    pub fn key(&self, slot: usize) -> StorageResult<&[u8]> {
+        let (key, value, _) = self.spans(slot)?;
+        Ok(&self.page[key..value])
     }
 
     /// The value bytes of `slot`, borrowed from the pinned page.
-    pub fn value(&self, slot: usize) -> &[u8] {
-        let s = &self.slots[slot];
-        let v = s.key_off as usize + s.klen as usize;
-        &self.page[v..v + s.vlen as usize]
+    pub fn value(&self, slot: usize) -> StorageResult<&[u8]> {
+        let (_, value, end) = self.spans(slot)?;
+        Ok(&self.page[value..end])
     }
 
-    /// First slot with `key >= target`, or `len()` when every key is below.
-    pub fn lower_bound(&self, target: &[u8]) -> usize {
-        self.slots.partition_point(|s| {
-            let k = &self.page[s.key_off as usize..s.key_off as usize + s.klen as usize];
-            k < target
-        })
-    }
-
-    /// Materializes `slot` as an owned [`Entry`] located in `leaf`.
-    pub fn entry(&self, leaf: u32, slot: usize) -> Entry {
-        Entry {
-            key: self.key(slot).to_vec(),
-            value: self.value(slot).to_vec(),
-            loc: EntryLoc { leaf, slot: slot as u16 },
+    /// First slot with `key >= target`, or `len()` when every key is below:
+    /// a binary search that reads only the slots it visits.
+    pub fn lower_bound(&self, target: &[u8]) -> StorageResult<usize> {
+        let (mut lo, mut hi) = (0, self.n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.key(mid)? < target {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
+        Ok(lo)
+    }
+
+    /// Materializes the entry at `loc` (whose `leaf` is this page) as an
+    /// owned [`Entry`].
+    pub fn entry(&self, loc: EntryLoc) -> StorageResult<Entry> {
+        let (key, value, end) = self.spans(loc.slot as usize)?;
+        let page = &self.page;
+        Ok(Entry { key: page[key..value].to_vec(), value: page[value..end].to_vec(), loc })
     }
 
     /// The last key in the leaf, if any.
-    pub fn last_key(&self) -> Option<&[u8]> {
-        if self.slots.is_empty() {
-            None
-        } else {
-            Some(self.key(self.slots.len() - 1))
-        }
+    pub fn last_key(&self) -> StorageResult<Option<&[u8]>> {
+        self.n.checked_sub(1).map(|last| self.key(last)).transpose()
     }
 }
 
-/// Leaf page layout: `[n: u16] (klen: u16, vlen: u16, key, value) × n`,
-/// sorted by key. Leaves are pages `0..leaf_count` of the segment; sibling
-/// leaves are adjacent pages.
+/// A complete key→value B+-tree; leaves use the slot-directory layout of
+/// the module docs. Leaves are pages `0..leaf_count` of the segment;
+/// sibling leaves are adjacent pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SortedKv {
     /// Segment holding leaves then interior pages.
@@ -344,11 +362,13 @@ pub struct SortedKv {
 pub struct SortedKvBuilder<'a, S: PageStore> {
     pool: &'a mut BufferPool<S>,
     segment: SegmentId,
-    page: Vec<u8>,
-    n: u16,
-    first_key: Option<Vec<u8>>,
+    /// The open leaf's entries, `[klen][key][value]` each.
+    entries: Vec<u8>,
+    /// Where each open-leaf entry starts within `entries`.
+    starts: Vec<u16>,
     leaf_firsts: Vec<(Vec<u8>, u32)>,
-    last_key: Option<Vec<u8>>,
+    /// The last key pushed (meaningful once `entry_count > 0`).
+    last_key: Vec<u8>,
     entry_count: u64,
     leaf_budget: usize,
 }
@@ -372,11 +392,10 @@ impl<'a, S: PageStore> SortedKvBuilder<'a, S> {
         Ok(SortedKvBuilder {
             pool,
             segment,
-            page: initial_leaf_page(),
-            n: 0,
-            first_key: None,
+            entries: Vec::with_capacity(PAGE_SIZE),
+            starts: Vec::new(),
             leaf_firsts: Vec::new(),
-            last_key: None,
+            last_key: Vec::new(),
             entry_count: 0,
             leaf_budget: leaf_budget.clamp(64, PAGE_SIZE),
         })
@@ -385,43 +404,50 @@ impl<'a, S: PageStore> SortedKvBuilder<'a, S> {
     /// Appends an entry. Keys must be strictly ascending; entries larger
     /// than [`MAX_ENTRY`] are rejected.
     pub fn push(&mut self, key: &[u8], value: &[u8]) -> StorageResult<()> {
+        // Directory slot + key length + key + value.
         let entry_len = 4 + key.len() + value.len();
         if entry_len > MAX_ENTRY {
             return Err(StorageError::invalid_input(format!(
                 "entry of {entry_len} bytes exceeds MAX_ENTRY ({MAX_ENTRY})"
             )));
         }
-        if let Some(last) = &self.last_key {
-            if key <= last.as_slice() {
-                return Err(StorageError::invalid_input("keys must be strictly ascending"));
-            }
+        if self.entry_count > 0 && key <= self.last_key.as_slice() {
+            return Err(StorageError::invalid_input("keys must be strictly ascending"));
         }
-        if self.page.len() + entry_len > self.leaf_budget && self.n > 0 {
+        let used = 2 * (self.starts.len() + 1) + self.entries.len();
+        if used + entry_len > self.leaf_budget && !self.starts.is_empty() {
             self.flush_leaf()?;
         }
-        if self.n == 0 {
-            self.first_key = Some(key.to_vec());
-        }
-        self.page.extend_from_slice(&(key.len() as u16).to_le_bytes());
-        self.page.extend_from_slice(&(value.len() as u16).to_le_bytes());
-        self.page.extend_from_slice(key);
-        self.page.extend_from_slice(value);
-        self.n += 1;
+        self.starts.push(self.entries.len() as u16);
+        self.entries.extend_from_slice(&(key.len() as u16).to_le_bytes());
+        self.entries.extend_from_slice(key);
+        self.entries.extend_from_slice(value);
         self.entry_count += 1;
-        self.last_key = Some(key.to_vec());
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
         Ok(())
     }
 
+    /// Writes the open leaf: the directory, then the entries.
     fn flush_leaf(&mut self) -> StorageResult<()> {
-        if self.n == 0 {
+        if self.starts.is_empty() {
             return Ok(());
         }
-        self.page[0..2].copy_from_slice(&self.n.to_le_bytes());
-        let off = self.pool.append_page(self.segment, &self.page)?;
-        self.leaf_firsts
-            .push((self.first_key.take().expect("leaf has a first key"), off));
-        self.page = initial_leaf_page();
-        self.n = 0;
+        // One offset per entry plus the closing one, all shifted past the
+        // directory itself.
+        let dir = 2 * (self.starts.len() + 1);
+        let mut page = Vec::with_capacity(dir + self.entries.len());
+        for &start in &self.starts {
+            page.extend_from_slice(&(dir as u16 + start).to_le_bytes());
+        }
+        page.extend_from_slice(&((dir + self.entries.len()) as u16).to_le_bytes());
+        page.extend_from_slice(&self.entries);
+        let off = self.pool.append_page(self.segment, &page)?;
+        // The leaf's first key, for the interior level above it.
+        let klen = u16::from_le_bytes([self.entries[0], self.entries[1]]) as usize;
+        self.leaf_firsts.push((self.entries[2..2 + klen].to_vec(), off));
+        self.entries.clear();
+        self.starts.clear();
         Ok(())
     }
 
@@ -430,19 +456,13 @@ impl<'a, S: PageStore> SortedKvBuilder<'a, S> {
         self.flush_leaf()?;
         if self.leaf_firsts.is_empty() {
             // Empty tree: keep a single empty leaf for uniform reads.
-            let off = self.pool.append_page(self.segment, &initial_leaf_page())?;
+            let off = self.pool.append_page(self.segment, &2u16.to_le_bytes())?;
             self.leaf_firsts.push((Vec::new(), off));
         }
         let leaf_count = self.leaf_firsts.len() as u32;
         let interior = Interior::build(self.pool, self.segment, &self.leaf_firsts)?;
         Ok(SortedKv { segment: self.segment, leaf_count, interior, entry_count: self.entry_count })
     }
-}
-
-fn initial_leaf_page() -> Vec<u8> {
-    let mut p = Vec::with_capacity(PAGE_SIZE);
-    p.extend_from_slice(&0u16.to_le_bytes());
-    p
 }
 
 impl SortedKv {
@@ -458,7 +478,7 @@ impl SortedKv {
         b.finish()
     }
 
-    /// Reads and parses one leaf into a pinned zero-copy view.
+    /// Reads one leaf and pins it as a searchable view.
     pub fn leaf_view<S: PageStore>(
         &self,
         pool: &BufferPool<S>,
@@ -474,7 +494,7 @@ impl SortedKv {
         leaf: u32,
     ) -> StorageResult<Vec<(Vec<u8>, Vec<u8>)>> {
         let view = self.leaf_view(pool, leaf)?;
-        Ok((0..view.len()).map(|i| (view.key(i).to_vec(), view.value(i).to_vec())).collect())
+        (0..view.len()).map(|i| Ok((view.key(i)?.to_vec(), view.value(i)?.to_vec()))).collect()
     }
 
     /// The entry at `loc`, if the location is valid.
@@ -488,7 +508,7 @@ impl SortedKv {
         }
         let view = self.leaf_view(pool, loc.leaf)?;
         if (loc.slot as usize) < view.len() {
-            Ok(Some(view.entry(loc.leaf, loc.slot as usize)))
+            view.entry(loc).map(Some)
         } else {
             Ok(None)
         }
@@ -502,9 +522,9 @@ impl SortedKv {
     ) -> StorageResult<Option<Entry>> {
         let view = self.leaf_view(pool, loc.leaf)?;
         if (loc.slot as usize) + 1 < view.len() {
-            return Ok(Some(view.entry(loc.leaf, loc.slot as usize + 1)));
+            return view.entry(EntryLoc { slot: loc.slot + 1, ..loc }).map(Some);
         }
-        self.first_entry_from(pool, loc.leaf + 1)
+        self.first_from(pool, loc.leaf + 1, &mut LeafView::entry)
     }
 
     /// The entry before `loc` in key order.
@@ -515,84 +535,85 @@ impl SortedKv {
     ) -> StorageResult<Option<Entry>> {
         if loc.slot > 0 {
             let view = self.leaf_view(pool, loc.leaf)?;
-            let slot = loc.slot as usize - 1;
-            if slot < view.len() {
-                return Ok(Some(view.entry(loc.leaf, slot)));
+            if (loc.slot as usize) <= view.len() {
+                return view.entry(EntryLoc { slot: loc.slot - 1, ..loc }).map(Some);
             }
             return Ok(None);
         }
-        let mut leaf = loc.leaf;
-        while leaf > 0 {
-            leaf -= 1;
-            let view = self.leaf_view(pool, leaf)?;
-            if !view.is_empty() {
-                return Ok(Some(view.entry(leaf, view.len() - 1)));
-            }
-        }
-        Ok(None)
+        self.last_before(pool, loc.leaf, &mut LeafView::entry)
     }
 
     /// The Section 4.3.2 probe: the smallest entry with `key >= target`
     /// and its immediate predecessor. Either may be `None` at the ends.
+    /// One seek of a fresh [`TreeCursor`], so there is one probe path.
     pub fn lowest_geq<S: PageStore>(
         &self,
         pool: &BufferPool<S>,
         target: &[u8],
     ) -> StorageResult<(Option<Entry>, Option<Entry>)> {
-        let leaf = self.interior.descend(pool, target)?;
-        let view = self.leaf_view(pool, leaf)?;
-        self.probe_view(pool, leaf, &view, target)
+        self.cursor().seek_geq(pool, target)
     }
 
-    /// Answers the `lowest_geq` probe inside an already-pinned leaf. The
-    /// leaf must be the descend target for `target` (or a forward sibling
-    /// the cursor verified still covers it); only the cross-leaf
+    /// Answers the `lowest_geq` probe inside an already-pinned leaf,
+    /// reading each answer entry with `read` while its leaf is pinned. The
+    /// leaf must be the descend target for `target` (or a sibling the
+    /// cursor verified gives the same answer); only the cross-leaf
     /// predecessor / successor lookups touch the pool.
-    fn probe_view<S: PageStore>(
+    fn probe_view<S: PageStore, T>(
         &self,
         pool: &BufferPool<S>,
         leaf: u32,
         view: &LeafView,
         target: &[u8],
-    ) -> StorageResult<(Option<Entry>, Option<Entry>)> {
-        let slot = view.lower_bound(target);
-        if slot < view.len() {
-            let entry = Some(view.entry(leaf, slot));
-            let pred = if slot > 0 {
-                Some(view.entry(leaf, slot - 1))
-            } else {
-                self.prev(pool, EntryLoc { leaf, slot: 0 })?
-            };
-            Ok((entry, pred))
+        read: &mut impl FnMut(&LeafView, EntryLoc) -> StorageResult<T>,
+    ) -> StorageResult<(Option<T>, Option<T>)> {
+        let slot = view.lower_bound(target)?;
+        // The predecessor is the slot before, or (at slot 0, or in an
+        // empty leaf) the last entry of an earlier leaf; the entry is this
+        // slot, or (when every key here sorts below the target) the first
+        // entry of a later leaf.
+        let pred = match slot.checked_sub(1) {
+            Some(p) => Some(read(view, EntryLoc { leaf, slot: p as u16 })?),
+            None => self.last_before(pool, leaf, read)?,
+        };
+        let entry = if slot < view.len() {
+            Some(read(view, EntryLoc { leaf, slot: slot as u16 })?)
         } else {
-            // All keys in this leaf sort below target (or leaf empty):
-            // the answer is the first entry of a later leaf; the
-            // predecessor is this leaf's last entry.
-            let pred = if view.is_empty() {
-                if leaf == 0 {
-                    None
-                } else {
-                    self.prev(pool, EntryLoc { leaf, slot: 0 })?
-                }
-            } else {
-                Some(view.entry(leaf, view.len() - 1))
-            };
-            let entry = self.first_entry_from(pool, leaf + 1)?;
-            Ok((entry, pred))
-        }
+            self.first_from(pool, leaf + 1, read)?
+        };
+        Ok((entry, pred))
     }
 
-    fn first_entry_from<S: PageStore>(
+    /// The first entry of the first non-empty leaf at or after `leaf`.
+    fn first_from<S: PageStore, T>(
         &self,
         pool: &BufferPool<S>,
         mut leaf: u32,
-    ) -> StorageResult<Option<Entry>> {
+        read: &mut impl FnMut(&LeafView, EntryLoc) -> StorageResult<T>,
+    ) -> StorageResult<Option<T>> {
         while leaf < self.leaf_count {
             let view = self.leaf_view(pool, leaf)?;
             if !view.is_empty() {
-                return Ok(Some(view.entry(leaf, 0)));
+                return read(&view, EntryLoc { leaf, slot: 0 }).map(Some);
             }
             leaf += 1;
+        }
+        Ok(None)
+    }
+
+    /// The last entry of the last non-empty leaf before `leaf`.
+    fn last_before<S: PageStore, T>(
+        &self,
+        pool: &BufferPool<S>,
+        mut leaf: u32,
+        read: &mut impl FnMut(&LeafView, EntryLoc) -> StorageResult<T>,
+    ) -> StorageResult<Option<T>> {
+        while leaf > 0 {
+            leaf -= 1;
+            let view = self.leaf_view(pool, leaf)?;
+            if !view.is_empty() {
+                return read(&view, EntryLoc { leaf, slot: view.len() as u16 - 1 }).map(Some);
+            }
         }
         Ok(None)
     }
@@ -608,8 +629,7 @@ impl SortedKv {
     }
 
     /// Collects all entries with `low <= key < high` via a leaf range
-    /// scan: one descent, then one parse per leaf (each page is read and
-    /// decoded exactly once, not once per entry).
+    /// scan: one descent, then each leaf read once (not once per entry).
     pub fn range<S: PageStore>(
         &self,
         pool: &BufferPool<S>,
@@ -621,12 +641,13 @@ impl SortedKv {
         let mut leaf = start;
         while leaf < self.leaf_count {
             let view = self.leaf_view(pool, leaf)?;
-            let begin = if leaf == start { view.lower_bound(low) } else { 0 };
+            let begin = if leaf == start { view.lower_bound(low)? } else { 0 };
             for slot in begin..view.len() {
-                if view.key(slot) >= high {
+                let entry = view.entry(EntryLoc { leaf, slot: slot as u16 })?;
+                if entry.key.as_slice() >= high {
                     return Ok(out);
                 }
-                out.push(view.entry(leaf, slot));
+                out.push(entry);
             }
             leaf += 1;
         }
@@ -717,24 +738,39 @@ impl TreeCursor {
         pool: &BufferPool<S>,
         target: &[u8],
     ) -> StorageResult<(Option<Entry>, Option<Entry>)> {
+        self.seek_geq_by(pool, target, LeafView::entry)
+    }
+
+    /// [`TreeCursor::seek_geq`] that reads each answer entry with `read`
+    /// while the entry's leaf is pinned, so a caller that needs only part
+    /// of an entry (the RDIL probe wants the key) copies nothing else.
+    /// Same seek, same counters, same pages touched.
+    pub fn seek_geq_by<S: PageStore, T>(
+        &mut self,
+        pool: &BufferPool<S>,
+        target: &[u8],
+        mut read: impl FnMut(&LeafView, EntryLoc) -> StorageResult<T>,
+    ) -> StorageResult<(Option<T>, Option<T>)> {
         self.stats.probes += 1;
-        let forward = match &self.view {
+        // Where the target sorts against the pinned leaf's first key;
+        // `None` when nothing (or an empty leaf) is pinned.
+        let at_or_after_first = match &self.view {
+            Some(view) if !view.is_empty() => Some(target >= view.key(0)?),
+            _ => None,
+        };
+        if at_or_after_first == Some(true) {
             // Serving in place is only sound when the pinned leaf's key
             // range starts at or before the target; descend() can never
             // land on an earlier leaf in that case.
-            Some(view) => !view.is_empty() && target >= view.key(0),
-            None => false,
-        };
-        if forward {
             let mut leaf = self.leaf;
             let mut view = self.view.take().expect("forward path holds a pinned view");
             let mut hops = 0u32;
             loop {
-                let contained = view.last_key().is_some_and(|last| target <= last);
+                let contained = view.last_key()?.is_some_and(|last| target <= last);
                 if contained || leaf + 1 >= self.tree.leaf_count {
                     self.stats.seeks_forward += 1;
                     self.leaf = leaf;
-                    let out = self.tree.probe_view(pool, leaf, &view, target);
+                    let out = self.tree.probe_view(pool, leaf, &view, target, &mut read);
                     self.view = Some(view);
                     return out;
                 }
@@ -745,12 +781,7 @@ impl TreeCursor {
                 hops += 1;
                 view = self.tree.leaf_view(pool, leaf)?;
             }
-        } else if self
-            .view
-            .as_ref()
-            .is_some_and(|view| !view.is_empty() && target < view.key(0))
-            && self.leaf > 0
-        {
+        } else if at_or_after_first == Some(false) && self.leaf > 0 {
             // Backward walk: the target sorts before the pinned leaf's
             // first key. Scanning leftward, the first non-empty leaf
             // whose first key <= the target is the *last* such leaf
@@ -764,12 +795,11 @@ impl TreeCursor {
                 leaf -= 1;
                 hops += 1;
                 let view = self.tree.leaf_view(pool, leaf)?;
-                let covers =
-                    leaf == 0 || (!view.is_empty() && view.key(0) <= target);
+                let covers = leaf == 0 || (!view.is_empty() && view.key(0)? <= target);
                 if covers {
                     self.stats.seeks_backward += 1;
                     self.leaf = leaf;
-                    let out = self.tree.probe_view(pool, leaf, &view, target);
+                    let out = self.tree.probe_view(pool, leaf, &view, target, &mut read);
                     self.view = Some(view);
                     return out;
                 }
@@ -779,7 +809,7 @@ impl TreeCursor {
         self.stats.descents += 1;
         let leaf = self.tree.interior.descend(pool, target)?;
         let view = self.tree.leaf_view(pool, leaf)?;
-        let out = self.tree.probe_view(pool, leaf, &view, target);
+        let out = self.tree.probe_view(pool, leaf, &view, target, &mut read);
         self.leaf = leaf;
         self.view = Some(view);
         out
@@ -1034,22 +1064,134 @@ mod tests {
         }
     }
 
+    /// A one-page leaf written into its own segment and opened.
+    fn view_of(page: &[u8]) -> StorageResult<LeafView> {
+        let mut pool = BufferPool::new(MemStore::new(), 4);
+        let seg = pool.store_mut().create_segment().unwrap();
+        let off = pool.append_page(seg, page).unwrap();
+        LeafView::parse(pool.read(PageId::new(seg, off))?)
+    }
+
+    /// A leaf page from raw little-endian `u16` directory slots and bytes.
+    fn leaf_bytes(dir: &[u16], body: &[u8]) -> Vec<u8> {
+        let mut page: Vec<u8> = dir.iter().flat_map(|o| o.to_le_bytes()).collect();
+        page.extend_from_slice(body);
+        page
+    }
+
+    fn is_corrupt<T: std::fmt::Debug>(r: StorageResult<T>) -> bool {
+        matches!(r, Err(StorageError::Corrupt { .. }))
+    }
+
+    #[test]
+    fn leaf_directory_layout_is_exact() {
+        // Two entries: a 2-slot directory plus the closing offset, then
+        // `[klen][key][value]` back to back; values run to the next offset.
+        let (pool, tree) = build_tree(2);
+        let page = pool.read(PageId::new(tree.segment, 0)).unwrap();
+        let (k0, v0) = kv(0);
+        let (k1, v1) = kv(1);
+        let e0 = 6 + 2 + k0.len() + v0.len();
+        let e1 = e0 + 2 + k1.len() + v1.len();
+        let mut body = Vec::new();
+        for (k, v) in [(&k0, &v0), (&k1, &v1)] {
+            body.extend_from_slice(&(k.len() as u16).to_le_bytes());
+            body.extend_from_slice(k);
+            body.extend_from_slice(v);
+        }
+        let want = leaf_bytes(&[6, e0 as u16, e1 as u16], &body);
+        assert_eq!(&page[..want.len()], &want[..]);
+        assert!(page[want.len()..].iter().all(|&b| b == 0));
+        // The empty tree's one leaf is the two bytes `[2, 0]`.
+        let mut pool = BufferPool::new(MemStore::new(), 4);
+        let empty = SortedKv::build(&mut pool, &[]).unwrap();
+        let page = pool.read(PageId::new(empty.segment, 0)).unwrap();
+        assert_eq!(&page[..2], &[2, 0]);
+        assert_eq!(LeafView::parse(page).unwrap().len(), 0);
+    }
+
     #[test]
     fn corrupt_leaf_is_an_error_not_a_panic() {
-        // A leaf whose entry lengths point past the page must decode to a
-        // typed error under any byte garbage.
-        let mut page = vec![0u8; PAGE_SIZE];
-        page[0..2].copy_from_slice(&3u16.to_le_bytes()); // claims 3 entries
-        page[2..4].copy_from_slice(&u16::MAX.to_le_bytes()); // klen = 65535
-        let err = LeafView::parse_slots(&page).unwrap_err();
-        assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
+        // `off_0` odd, below 2, or past the page: refused on open.
+        for off0 in [3u16, 0, 1, PAGE_SIZE as u16 + 2, u16::MAX - 1] {
+            assert!(is_corrupt(view_of(&leaf_bytes(&[off0], &[]))), "off_0 = {off0}");
+        }
+        // A directory that fits but whose slots lie: every accessor that
+        // reads the bad slot fails typed, and so does a search through it.
+        let entry = [1u8, 0, b'k', b'v']; // klen 1, key "k", value "v"
+        let cases: [(&str, Vec<u16>, Vec<u8>, usize); 4] = [
+            // n = 2; slot 1 starts at byte 2, inside the directory.
+            ("offset into the directory", vec![6, 2, 10], [entry, entry].concat(), 1),
+            // n = 2; slot 1 spans 10..8.
+            ("entry end before its start", vec![6, 10, 8], [entry, entry].concat(), 1),
+            // n = 1; klen 100 in a 4-byte entry.
+            ("klen past its entry", vec![4, 8], vec![100, 0, b'k', b'v'], 0),
+            // n = 1; the closing offset is past the page.
+            ("end past the page", vec![4, PAGE_SIZE as u16 + 8], entry.to_vec(), 0),
+        ];
+        for (what, dir, body, slot) in cases {
+            let view = view_of(&leaf_bytes(&dir, &body)).unwrap();
+            assert!(is_corrupt(view.key(slot)), "{what}: key");
+            assert!(is_corrupt(view.value(slot)), "{what}: value");
+            assert!(is_corrupt(view.entry(EntryLoc { leaf: 0, slot: slot as u16 })), "{what}");
+            assert!(is_corrupt(view.lower_bound(b"zzz")), "{what}: search");
+        }
+        // A slot index past the directory is an error, not a panic.
+        let view = view_of(&leaf_bytes(&[4, 8], &entry)).unwrap();
+        assert_eq!(view.key(0).unwrap(), b"k");
+        assert_eq!(view.value(0).unwrap(), b"v");
+        assert_eq!(view.last_key().unwrap(), Some(&b"k"[..]));
+        assert!(is_corrupt(view.key(1)));
 
         // And through the probe path: corrupt the tree's leaf in place.
         let (mut pool, tree) = build_tree(100);
-        let mut evil = vec![0u8; PAGE_SIZE];
-        evil[0..2].copy_from_slice(&9u16.to_le_bytes());
-        evil[2..4].copy_from_slice(&u16::MAX.to_le_bytes());
-        pool.write_page(PageId::new(tree.segment, 0), &evil).unwrap();
-        assert!(tree.lowest_geq(&pool, b"key000000").is_err());
+        pool.write_page(PageId::new(tree.segment, 0), &leaf_bytes(&[9], &[])).unwrap();
+        assert!(is_corrupt(tree.lowest_geq(&pool, b"key000000")));
+        assert!(is_corrupt(tree.cursor().seek_geq(&pool, b"key000000")));
+        assert!(is_corrupt(tree.range(&pool, b"", b"zzz")));
+    }
+
+    use proptest::prelude::*;
+
+    /// Overwrites: mostly into the directory and the first entries, where
+    /// a flipped byte moves offsets, and anywhere in the page otherwise.
+    fn damage() -> impl Strategy<Value = Vec<(usize, u8)>> {
+        proptest::collection::vec(
+            (prop_oneof![3 => 0usize..96, 1 => 0usize..PAGE_SIZE], any::<u8>()),
+            1..8,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Random bytes of one leaf overwritten: every probe, cursor seek
+        /// and range scan through the tree ends `Ok` or `Corrupt`, never in
+        /// a panic or another error.
+        #[test]
+        fn damaged_leaf_never_panics(
+            leaf in 0u32..6,
+            bytes in damage(),
+            targets in proptest::collection::vec(0u32..2400, 1..24),
+        ) {
+            let (mut pool, tree) = build_tree(2000);
+            prop_assume!(leaf < tree.leaf_count);
+            let id = PageId::new(tree.segment, leaf);
+            let mut page = pool.read(id).unwrap().to_vec();
+            for &(at, byte) in &bytes {
+                page[at] = byte;
+            }
+            pool.write_page(id, &page).unwrap();
+            let typed =
+                |r: StorageResult<()>| matches!(r, Ok(()) | Err(StorageError::Corrupt { .. }));
+            let mut cur = tree.cursor();
+            for &t in &targets {
+                let (k, _) = kv(t);
+                prop_assert!(typed(tree.lowest_geq(&pool, &k).map(drop)), "lowest_geq {t}");
+                prop_assert!(typed(cur.seek_geq(&pool, &k).map(drop)), "seek_geq {t}");
+                let (high, _) = kv(t + 300);
+                prop_assert!(typed(tree.range(&pool, &k, &high).map(drop)), "range from {t}");
+            }
+        }
     }
 }

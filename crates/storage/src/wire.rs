@@ -72,83 +72,6 @@ pub fn get_str<R: Read>(r: &mut R) -> io::Result<String> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-fn short_read() -> io::Error {
-    io::Error::new(io::ErrorKind::UnexpectedEof, "short read in page slice")
-}
-
-/// Borrowing cursor over an in-memory page slice.
-///
-/// The zero-copy counterpart of the `Read`-based getters above: byte-string
-/// reads hand back sub-slices of the underlying buffer (which a caller can
-/// keep for as long as it pins the backing page frame), with explicit
-/// position tracking and clean short-read errors instead of panics. Page
-/// decoders use this to walk pinned buffer-pool frames without staging the
-/// bytes through scratch copies.
-#[derive(Debug, Clone, Copy)]
-pub struct SliceReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SliceReader<'a> {
-    /// Starts reading at the beginning of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        SliceReader { buf, pos: 0 }
-    }
-
-    /// Bytes consumed so far.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// The unread tail, borrowed from the underlying buffer.
-    pub fn remaining(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-
-    /// True once every byte has been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
-    /// Consumes `n` bytes, returning them as a borrowed slice.
-    pub fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).ok_or_else(short_read)?;
-        let s = self.buf.get(self.pos..end).ok_or_else(short_read)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Skips `n` bytes.
-    pub fn skip(&mut self, n: usize) -> io::Result<()> {
-        self.take(n).map(|_| ())
-    }
-
-    /// Reads a `u16` little-endian.
-    pub fn get_u16(&mut self) -> io::Result<u16> {
-        let b: [u8; 2] = self.take(2)?.try_into().expect("take returned 2 bytes");
-        Ok(u16::from_le_bytes(b))
-    }
-
-    /// Reads a `u32` little-endian.
-    pub fn get_u32(&mut self) -> io::Result<u32> {
-        let b: [u8; 4] = self.take(4)?.try_into().expect("take returned 4 bytes");
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Reads a `u64` little-endian.
-    pub fn get_u64(&mut self) -> io::Result<u64> {
-        let b: [u8; 8] = self.take(8)?.try_into().expect("take returned 8 bytes");
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Reads an `f32` (IEEE bits, little-endian).
-    pub fn get_f32(&mut self) -> io::Result<f32> {
-        let b: [u8; 4] = self.take(4)?.try_into().expect("take returned 4 bytes");
-        Ok(f32::from_le_bytes(b))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,39 +116,6 @@ mod tests {
         put_bytes(&mut buf, &[0xFF, 0xFE]).unwrap();
         let mut r = &buf[..];
         assert!(get_str(&mut r).is_err());
-    }
-
-    #[test]
-    fn slice_reader_borrows_and_tracks_position() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&7u16.to_le_bytes());
-        buf.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
-        buf.extend_from_slice(b"payload");
-        let mut r = SliceReader::new(&buf);
-        assert_eq!(r.get_u16().unwrap(), 7);
-        assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.position(), 6);
-        let tail: &[u8] = r.take(7).unwrap();
-        assert_eq!(tail, b"payload");
-        // The returned slice aliases the buffer, not a copy.
-        assert_eq!(tail.as_ptr(), buf[6..].as_ptr());
-        assert!(r.is_empty());
-        assert!(r.take(1).is_err());
-    }
-
-    #[test]
-    fn slice_reader_short_reads_fail_cleanly() {
-        let buf = [1u8, 2, 3];
-        let mut r = SliceReader::new(&buf);
-        assert!(r.get_u32().is_err());
-        // A failed read consumes nothing.
-        assert_eq!(r.position(), 0);
-        assert_eq!(r.get_u16().unwrap(), u16::from_le_bytes([1, 2]));
-        assert!(r.get_u16().is_err());
-        assert_eq!(r.remaining(), &[3]);
-        assert!(r.skip(2).is_err());
-        r.skip(1).unwrap();
-        assert!(r.is_empty());
     }
 }
 
