@@ -1,9 +1,17 @@
 //! Criterion microbenchmarks for the substrates: Dewey codec, B+-tree
-//! probes, XML parsing, tokenization.
+//! probes, posting-list reads, XML parsing, tokenization.
+//!
+//! Run with `cargo bench -p xrank-bench --bench substrates`. The shim
+//! prints min / mean / max per benchmark; compare minimums, which see
+//! through a host whose speed changes between runs.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use xrank_dewey::{codec, DeweyId};
+use xrank_graph::TermId;
+use xrank_index::posting::Posting;
+use xrank_index::DilIndex;
+use xrank_query::{dil_query, QueryOptions};
 use xrank_storage::btree::SortedKv;
 use xrank_storage::{BufferPool, MemStore};
 
@@ -91,6 +99,69 @@ fn bench_btree_probe(c: &mut Criterion) {
     g.finish();
 }
 
+/// Two Dewey lists over 50 000 documents, cached in the pool: `alpha` in
+/// four elements of every document (200 000 postings), `beta` in three
+/// (150 000), two of them shared with `alpha`, so the two-keyword merge
+/// finds results in every document.
+fn bench_list(c: &mut Criterion) {
+    const DOCS: u32 = 50_000;
+    let list = |paths: &[&[u32]]| -> Vec<Posting> {
+        (0..DOCS)
+            .flat_map(|d| {
+                paths.iter().enumerate().map(move |(k, path)| Posting {
+                    elem: 0,
+                    dewey: DeweyId::from_components([&[d, 0][..], path].concat()),
+                    rank: ((d * 7 + k as u32) % 97 + 1) as f32 / 128.0,
+                    positions: vec![d % 40 + k as u32, d % 40 + 9],
+                })
+            })
+            .collect()
+    };
+    let alpha = list(&[&[0], &[1, 0], &[1, 2], &[3]]);
+    let beta = list(&[&[1, 0], &[2], &[3]]);
+    let mut pool = BufferPool::new(MemStore::new(), 1 << 14);
+    let dil = DilIndex::build(&mut pool, &[alpha.clone(), beta]).unwrap();
+    let (a, b) = (TermId(0), TermId(1));
+    assert!(alpha.len() >= 200_000 && dil.meta(a).unwrap().page_count < 1 << 14);
+
+    let mut g = c.benchmark_group("list");
+    g.sample_size(25);
+    g.throughput(Throughput::Elements(alpha.len() as u64));
+    g.bench_function("scan-next/200k", |bch| {
+        bch.iter(|| {
+            let mut r = dil.reader(a).unwrap();
+            while let Some(p) = r.next(&pool).unwrap() {
+                black_box(p);
+            }
+        })
+    });
+    g.bench_function("scan-advance/200k", |bch| {
+        bch.iter(|| {
+            let mut r = dil.reader(a).unwrap();
+            while r.advance(&pool).unwrap() {
+                black_box(r.current());
+            }
+        })
+    });
+    let targets: Vec<&DeweyId> = alpha.iter().step_by(64).map(|p| &p.dewey).collect();
+    g.throughput(Throughput::Elements(targets.len() as u64));
+    g.bench_function("next_seek-stride64/200k", |bch| {
+        bch.iter(|| {
+            let mut r = dil.reader(a).unwrap();
+            for t in &targets {
+                r.next_seek(&pool, t).unwrap();
+            }
+            black_box(r.decoded())
+        })
+    });
+    let opts = QueryOptions::default();
+    g.throughput(Throughput::Elements(350_000));
+    g.bench_function("dil-evaluate/2kw", |bch| {
+        bch.iter(|| black_box(dil_query::evaluate(&pool, &dil, &[a, b], &opts).unwrap()))
+    });
+    g.finish();
+}
+
 fn bench_xml_parse(c: &mut Criterion) {
     let ds = xrank_datagen::xmark::generate(&xrank_datagen::xmark::XmarkConfig {
         scale: 0.2,
@@ -108,5 +179,5 @@ fn bench_xml_parse(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_dewey_codec, bench_btree_probe, bench_xml_parse);
+criterion_group!(benches, bench_dewey_codec, bench_btree_probe, bench_list, bench_xml_parse);
 criterion_main!(benches);

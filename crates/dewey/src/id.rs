@@ -40,6 +40,12 @@ impl DeweyId {
         &self.components
     }
 
+    /// The component buffer itself, so a decoder can refill an existing ID
+    /// in place and keep its allocation instead of building a new one.
+    pub fn components_mut(&mut self) -> &mut Vec<u32> {
+        &mut self.components
+    }
+
     /// Number of components (document id included).
     pub fn len(&self) -> usize {
         self.components.len()
@@ -237,6 +243,17 @@ mod tests {
         let b = id(&[1, 0, 3]);
         assert!(!a.is_ancestor_of(&b));
         assert_eq!(a.common_prefix(&b), id(&[1, 0]));
+    }
+
+    #[test]
+    fn refilled_in_place_keeps_the_buffer() {
+        let mut d = id(&[9, 0, 4, 2, 0]);
+        let before = d.components().as_ptr();
+        let buf = d.components_mut();
+        buf.clear();
+        buf.extend_from_slice(&[3, 0, 1]);
+        assert_eq!(d, id(&[3, 0, 1]));
+        assert_eq!(d.components().as_ptr(), before, "no reallocation for a shorter ID");
     }
 
     #[test]

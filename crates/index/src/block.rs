@@ -127,39 +127,16 @@ pub fn dewey_len(prev: Option<&DeweyId>, cur: &DeweyId) -> usize {
     len
 }
 
-/// Decodes one Dewey delta. Inverse of [`encode_dewey`].
-pub fn decode_dewey(prev: Option<&DeweyId>, buf: &[u8]) -> Result<(DeweyId, usize), DecodeError> {
-    let mut components = Vec::new();
-    let prev = prev.map_or(&[][..], |p| p.components());
-    // One exact-size allocation per ID: the list readers keep every ID
-    // they decode, and this is their innermost loop.
-    let used = decode_dewey_with(prev, buf, &mut components, |v, n| *v = Vec::with_capacity(n))?;
-    Ok((DeweyId::from_components(components), used))
-}
-
-/// [`decode_dewey`] into a caller-owned component buffer (cleared first),
-/// so a block scan that only *compares* most of the IDs it passes reuses
-/// two buffers instead of allocating one ID per entry. `prev` is the
-/// previous entry's components (empty at a block restart).
+/// Decodes one Dewey delta into a caller-owned component buffer (cleared
+/// first, its allocation kept), returning the bytes consumed. Inverse of
+/// [`encode_dewey`]. `prev` is the previous entry's components (empty at a
+/// block restart). Readers alternate two buffers, so decoding allocates
+/// only while the buffers grow to the list's deepest ID.
+#[inline(always)]
 pub fn decode_dewey_into(
     prev: &[u32],
     buf: &[u8],
     out: &mut Vec<u32>,
-) -> Result<usize, DecodeError> {
-    decode_dewey_with(prev, buf, out, |v, n| {
-        v.clear();
-        v.reserve(n);
-    })
-}
-
-/// The one Dewey-delta decoder; `make_room(out, n)` leaves `out` empty
-/// with room for the ID's `n` components.
-#[inline(always)]
-fn decode_dewey_with(
-    prev: &[u32],
-    buf: &[u8],
-    out: &mut Vec<u32>,
-    make_room: impl FnOnce(&mut Vec<u32>, usize),
 ) -> Result<usize, DecodeError> {
     let (h, mut off) = codec::read_component(buf)?;
     let mut shared = h & 7;
@@ -180,7 +157,8 @@ fn decode_dewey_with(
     if shared > prev.len() || suffix as usize > buf.len() - off {
         return Err(DecodeError::Truncated);
     }
-    make_room(out, shared + suffix as usize);
+    out.clear();
+    out.reserve(shared + suffix as usize);
     out.extend_from_slice(&prev[..shared]);
     for i in 0..suffix {
         if i == 0 && shared < prev.len() {
@@ -248,18 +226,19 @@ impl RankDict {
         }
     }
 
-    /// Reads a dictionary prefix, returning the ranks and bytes consumed.
-    pub fn read(buf: &[u8]) -> Result<(Vec<f32>, usize), DecodeError> {
+    /// Reads a dictionary prefix into `ranks` (cleared first, its
+    /// allocation kept), returning the bytes consumed.
+    pub fn read(buf: &[u8], ranks: &mut Vec<f32>) -> Result<usize, DecodeError> {
         let (n, mut off) = codec::read_component(buf)?;
         if n as usize > MAX_BLOCK_ENTRIES || buf.len() - off < 4 * n as usize {
             return Err(DecodeError::Truncated);
         }
-        let mut ranks = Vec::with_capacity(n as usize);
+        ranks.clear();
         for _ in 0..n {
             ranks.push(f32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]]));
             off += 4;
         }
-        Ok((ranks, off))
+        Ok(off)
     }
 }
 
@@ -279,19 +258,23 @@ pub fn entry_len(prev: Option<&DeweyId>, p: &Posting) -> usize {
     dewey_len(prev, &p.dewey) + 1 + posting::positions_len(&p.positions)
 }
 
-/// Decodes one posting entry against the block's rank dictionary
-/// (`elem` is not stored and comes back as 0).
-pub fn decode_entry(
+/// Decodes one posting entry in place into `out`, against the block's
+/// rank dictionary, returning the bytes consumed. `prev` is the previous
+/// entry's ID in the same block (`None` at a restart). `out`'s ID and
+/// positions are refilled in their existing buffers; `elem` is not stored
+/// and is left as it is.
+pub fn decode_entry_into(
     prev: Option<&DeweyId>,
     ranks: &[f32],
     buf: &[u8],
-) -> Result<(Posting, usize), DecodeError> {
-    let (dewey, mut off) = decode_dewey(prev, buf)?;
+    out: &mut Posting,
+) -> Result<usize, DecodeError> {
+    let prev = prev.map_or(&[][..], DeweyId::components);
+    let mut off = decode_dewey_into(prev, buf, out.dewey.components_mut())?;
     let (idx, n) = codec::read_component(&buf[off..])?;
     off += n;
-    let rank = *ranks.get(idx as usize).ok_or(DecodeError::Truncated)?;
-    let (positions, n) = posting::decode_positions(&buf[off..])?;
-    Ok((Posting { elem: 0, dewey, rank, positions }, off + n))
+    out.rank = *ranks.get(idx as usize).ok_or(DecodeError::Truncated)?;
+    Ok(off + posting::decode_positions_into(&buf[off..], &mut out.positions)?)
 }
 
 /// One block's entry in the skip table.
@@ -376,21 +359,22 @@ pub fn decode_block(buf: &[u8], mut off: usize, out: &mut Vec<Posting>) -> Stora
     )
     .map_err(|e| StorageError::corrupt(format!("block count: {e}")))?;
     off += n;
-    let (ranks, n) = RankDict::read(
+    let mut ranks = Vec::new();
+    off += RankDict::read(
         buf.get(off..).ok_or_else(|| StorageError::corrupt("block dict overruns page"))?,
+        &mut ranks,
     )
     .map_err(|e| StorageError::corrupt(format!("block rank dict: {e}")))?;
-    off += n;
-    let mut prev: Option<DeweyId> = None;
+    let first = out.len();
     for _ in 0..count {
-        let (p, used) = decode_entry(
-            prev.as_ref(),
+        let mut p = Posting::default();
+        off += decode_entry_into(
+            out[first..].last().map(|q| &q.dewey),
             &ranks,
             buf.get(off..).ok_or_else(|| StorageError::corrupt("block entry overruns page"))?,
+            &mut p,
         )
         .map_err(|e| StorageError::corrupt(format!("block entry: {e}")))?;
-        off += used;
-        prev = Some(p.dewey.clone());
         out.push(p);
     }
     Ok(off)
@@ -416,13 +400,12 @@ mod tests {
             );
             prev = Some(id.clone());
         }
-        let mut off = 0;
-        let mut prev: Option<DeweyId> = None;
+        // Two alternating buffers, as the readers decode.
+        let (mut off, mut cur, mut prev) = (0, Vec::new(), Vec::new());
         for id in ids {
-            let (got, n) = decode_dewey(prev.as_ref(), &buf[off..]).unwrap();
-            assert_eq!(&got, id);
-            off += n;
-            prev = Some(got);
+            off += decode_dewey_into(&prev, &buf[off..], &mut cur).unwrap();
+            assert_eq!(cur, id.components());
+            std::mem::swap(&mut cur, &mut prev);
         }
         assert_eq!(off, buf.len());
     }
@@ -503,7 +486,8 @@ mod tests {
         let mut buf = Vec::new();
         d.write(&mut buf);
         assert_eq!(buf.len(), d.prefix_len());
-        let (ranks, used) = RankDict::read(&buf).unwrap();
+        let mut ranks = vec![9.0; 6];
+        let used = RankDict::read(&buf, &mut ranks).unwrap();
         assert_eq!(used, buf.len());
         let bits: Vec<u32> = ranks.iter().map(|r| r.to_bits()).collect();
         assert_eq!(bits, vec![0.5f32.to_bits(), 0.25f32.to_bits(), 0, (-0.0f32).to_bits()]);
@@ -521,8 +505,9 @@ mod tests {
         let mut buf = Vec::new();
         encode_entry(None, &p, &mut dict, &mut buf);
         // Decoding with an empty dictionary must fail, not panic.
-        assert!(decode_entry(None, &[], &buf).is_err());
-        let (back, used) = decode_entry(None, &[0.75], &buf).unwrap();
+        let mut back = Posting::default();
+        assert!(decode_entry_into(None, &[], &buf, &mut back).is_err());
+        let used = decode_entry_into(None, &[0.75], &buf, &mut back).unwrap();
         assert_eq!(used, buf.len());
         assert_eq!(back.rank.to_bits(), p.rank.to_bits());
         assert_eq!(back.positions, p.positions);
@@ -581,8 +566,7 @@ mod tests {
         let mut buf = Vec::new();
         codec::write_component((1 << 3) | 3, &mut buf);
         codec::write_component(0, &mut buf);
-        let prev = DeweyId::from([8]);
-        assert!(decode_dewey(Some(&prev), &buf).is_err());
+        assert!(decode_dewey_into(&[8], &buf, &mut Vec::new()).is_err());
     }
 
     fn component() -> impl Strategy<Value = u32> {
@@ -626,16 +610,18 @@ mod tests {
             }
             let mut dict_bytes = Vec::new();
             dict.write(&mut dict_bytes);
-            let (ranks, _) = RankDict::read(&dict_bytes).unwrap();
-            let mut off = 0;
-            let mut prev: Option<DeweyId> = None;
-            for id in &ids {
-                let (p, n) = decode_entry(prev.as_ref(), &ranks, &buf[off..]).unwrap();
+            let mut ranks = Vec::new();
+            RankDict::read(&dict_bytes, &mut ranks).unwrap();
+            // Two postings that swap after every entry, as the reader
+            // decodes: the previous one is the delta base.
+            let (mut off, mut p, mut prev) = (0, Posting::default(), Posting::default());
+            for (i, id) in ids.iter().enumerate() {
+                let base = (i > 0).then_some(&prev.dewey);
+                off += decode_entry_into(base, &ranks, &buf[off..], &mut p).unwrap();
                 prop_assert_eq!(&p.dewey, id);
                 prop_assert_eq!(p.rank.to_bits(), rank.to_bits());
                 prop_assert_eq!(&p.positions, &positions);
-                off += n;
-                prev = Some(p.dewey);
+                std::mem::swap(&mut p, &mut prev);
             }
             prop_assert_eq!(off, buf.len());
         }

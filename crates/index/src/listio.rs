@@ -190,8 +190,8 @@ pub fn pin_page<S: PageStore>(
 /// the writer ([`write_list`]) and the reader ([`ListReader`]) differ
 /// between posting lists and naive lists.
 pub trait BlockCodec: std::fmt::Debug {
-    /// The posting type.
-    type Item: std::fmt::Debug;
+    /// The posting type. `Default` is the empty slot a reader decodes into.
+    type Item: std::fmt::Debug + Clone + Default;
     /// Per-block encoder state, reset at every restart. Its serialized
     /// form (the block *prefix*) lands between the count varint and the
     /// entries when the block is flushed.
@@ -223,18 +223,20 @@ pub trait BlockCodec: std::fmt::Debug {
     /// Writes the block prefix.
     fn write_prefix(&self, blk: &Self::Enc, out: &mut Vec<u8>);
 
-    /// Parses a block prefix, returning it and the bytes consumed.
-    fn read_prefix(&self, buf: &[u8]) -> Result<(Self::Dec, usize), DecodeError>;
+    /// Parses a block prefix into `out` (reusing its allocation),
+    /// returning the bytes consumed.
+    fn read_prefix(&self, buf: &[u8], out: &mut Self::Dec) -> Result<usize, DecodeError>;
 
-    /// Decodes one entry, returning it and the bytes consumed. `prev` is
-    /// the key of the previous entry in the same block (`None` at
-    /// restarts).
-    fn decode(
+    /// Decodes one entry in place into `out`, returning the bytes
+    /// consumed. `prev` is the key of the previous entry in the same block
+    /// (`None` at restarts).
+    fn decode_into(
         &self,
         blk: &Self::Dec,
         prev: Option<&Self::Key>,
         buf: &[u8],
-    ) -> Result<(Self::Item, usize), DecodeError>;
+        out: &mut Self::Item,
+    ) -> Result<usize, DecodeError>;
 
     /// The item's key.
     fn key(item: &Self::Item) -> &Self::Key;
@@ -280,21 +282,22 @@ impl BlockCodec for PostingCodec {
         blk.write(out);
     }
 
-    fn read_prefix(&self, buf: &[u8]) -> Result<(Vec<f32>, usize), DecodeError> {
-        block::RankDict::read(buf)
+    fn read_prefix(&self, buf: &[u8], ranks: &mut Vec<f32>) -> Result<usize, DecodeError> {
+        block::RankDict::read(buf, ranks)
     }
 
-    // A forwarder, inlined so that a reader calls `block::decode_entry`
-    // itself: one more out-of-line hop here, moving the decoded posting
-    // through a second return slot, cost full scans 15 %.
+    // A pure forwarder, inlined so that a reader calls
+    // `block::decode_entry_into` itself: one more out-of-line hop here, or
+    // any work beside the call, cost full scans 15–17 %.
     #[inline]
-    fn decode(
+    fn decode_into(
         &self,
         ranks: &Vec<f32>,
         prev: Option<&DeweyId>,
         buf: &[u8],
-    ) -> Result<(Posting, usize), DecodeError> {
-        block::decode_entry(prev, ranks, buf)
+        out: &mut Posting,
+    ) -> Result<usize, DecodeError> {
+        block::decode_entry_into(prev, ranks, buf, out)
     }
 
     fn key(item: &Posting) -> &DeweyId {
@@ -356,23 +359,25 @@ impl BlockCodec for NaiveCodec {
 
     fn write_prefix(&self, _blk: &(), _out: &mut Vec<u8>) {}
 
-    fn read_prefix(&self, _buf: &[u8]) -> Result<((), usize), DecodeError> {
-        Ok(((), 0))
+    fn read_prefix(&self, _buf: &[u8], _out: &mut ()) -> Result<usize, DecodeError> {
+        Ok(0)
     }
 
-    fn decode(
+    fn decode_into(
         &self,
         _blk: &(),
         prev: Option<&ElemId>,
         buf: &[u8],
-    ) -> Result<(NaivePosting, usize), DecodeError> {
+        out: &mut NaivePosting,
+    ) -> Result<usize, DecodeError> {
         let (field, n) = codec::read_component(buf)?;
-        let elem = match prev {
+        out.elem = match prev {
             Some(prev) if self.delta => prev.checked_add(field).ok_or(DecodeError::Overflow)?,
             _ => field,
         };
-        let (rank, positions, m) = posting::decode_payload(&buf[n..])?;
-        Ok((NaivePosting { elem, rank, positions }, n + m))
+        let (rank, m) = posting::decode_payload_into(&buf[n..], &mut out.positions)?;
+        out.rank = rank;
+        Ok(n + m)
     }
 
     fn key(item: &NaivePosting) -> &ElemId {
@@ -570,11 +575,20 @@ struct PageFrame {
 
 /// Streaming reader over one list. Does not borrow the pool, so a query
 /// can interleave several readers (the multiway merges of Figures 5 and
-/// 7). Decoding is lazy and zero-copy: each `next` decodes exactly one
+/// 7). Decoding is lazy and in place: each step decodes exactly one
 /// posting from the pinned current page, so a reader that is abandoned
 /// early (TA stop, switch to DIL) never pays for entries it did not
 /// consume. [`ListReader::next_seek`] skips whole blocks and
 /// [`ListReader::rank_bound`] answers from the skip table without I/O.
+///
+/// The reader owns two posting slots that swap on every entry: the next
+/// posting is decoded into the spare slot against the head slot's key
+/// (the delta base, read where it lies), then becomes the head. Their ID
+/// and positions buffers, and the block's rank dictionary, are reused, so
+/// a walk through [`ListReader::advance`] and [`ListReader::current`]
+/// allocates only while the buffers grow. [`ListReader::peek`] is
+/// `current` after loading the head, and [`ListReader::next`] hands out a
+/// clone of it.
 ///
 /// `ListReader` with no type argument reads posting lists; naive lists
 /// are `ListReader<NaiveCodec>`.
@@ -585,7 +599,15 @@ pub struct ListReader<C: BlockCodec = PostingCodec> {
     codec: C,
     skip: Arc<SkipTable>,
     frame: Option<PageFrame>,
-    pending: Option<C::Item>,
+    /// The last posting decoded: what [`ListReader::current`] shows while
+    /// `loaded`, and the delta base of the next decode while `based`.
+    head: C::Item,
+    /// The slot the next posting decodes into before it swaps with `head`.
+    spare: C::Item,
+    /// `head` is decoded and not yet consumed or dropped.
+    loaded: bool,
+    /// `head` belongs to the current block (false at a restart).
+    based: bool,
     consumed: u32,
     /// Blocks entered so far == index of the next block to enter.
     entered_blocks: usize,
@@ -593,8 +615,6 @@ pub struct ListReader<C: BlockCodec = PostingCodec> {
     block_remaining: u32,
     /// The current block's parsed prefix.
     blk: C::Dec,
-    /// Delta base: the key of the last entry decoded in the current block.
-    prev: Option<C::Key>,
     blocks_decoded: u64,
     blocks_skipped: u64,
     /// Entries [`ListReader::next_seek`] decoded and dropped.
@@ -610,12 +630,14 @@ impl<C: BlockCodec> ListReader<C> {
             codec,
             skip: info.skip.clone(),
             frame: None,
-            pending: None,
+            head: C::Item::default(),
+            spare: C::Item::default(),
+            loaded: false,
+            based: false,
             consumed: 0,
             entered_blocks: 0,
             block_remaining: 0,
             blk: C::Dec::default(),
-            prev: None,
             blocks_decoded: 0,
             blocks_skipped: 0,
             dropped: 0,
@@ -645,37 +667,56 @@ impl<C: BlockCodec> ListReader<C> {
 
     /// Postings decoded off list pages so far: those yielded, those
     /// [`ListReader::next_seek`] decoded and dropped inside a landing
-    /// block, and a peeked one not yet yielded.
+    /// block, and a loaded one not yet yielded.
     pub fn decoded(&self) -> u64 {
-        self.consumed as u64 + self.dropped + self.pending.is_some() as u64
+        self.consumed as u64 + self.dropped + self.loaded as u64
     }
 
-    /// Peeks at the next posting without consuming it.
+    /// The posting the reader is on — decoded, not yet consumed — or
+    /// `None` when no posting is loaded (a fresh reader, one just
+    /// [`ListReader::next`]ed, or the end of the list). Costs nothing:
+    /// the posting lives in the reader.
+    #[inline]
+    pub fn current(&self) -> Option<&C::Item> {
+        self.loaded.then_some(&self.head)
+    }
+
+    /// Steps past the current posting, if one is loaded (it counts as
+    /// consumed), and decodes the next one in place. Returns whether there
+    /// is one; [`ListReader::current`] shows it.
+    pub fn advance<S: PageStore>(&mut self, pool: &BufferPool<S>) -> StorageResult<bool> {
+        self.consumed += std::mem::take(&mut self.loaded) as u32;
+        self.ensure_loaded(pool)?;
+        Ok(self.loaded)
+    }
+
+    /// Loads the next posting, if none is loaded, and shows it without
+    /// consuming it: [`ListReader::current`] after the load.
     pub fn peek<S: PageStore>(
         &mut self,
         pool: &BufferPool<S>,
     ) -> StorageResult<Option<&C::Item>> {
-        self.ensure_pending(pool)?;
-        Ok(self.pending.as_ref())
+        self.ensure_loaded(pool)?;
+        Ok(self.current())
     }
 
-    /// Pops the next posting.
+    /// Pops the next posting: a clone of what [`ListReader::peek`] shows,
+    /// which then counts as consumed. The following posting is decoded
+    /// only when asked for.
     pub fn next<S: PageStore>(&mut self, pool: &BufferPool<S>) -> StorageResult<Option<C::Item>> {
-        self.ensure_pending(pool)?;
-        let p = self.pending.take();
-        if p.is_some() {
-            self.consumed += 1;
-        }
+        self.ensure_loaded(pool)?;
+        let p = self.current().cloned();
+        self.consumed += std::mem::take(&mut self.loaded) as u32;
         Ok(p)
     }
 
-    /// Decodes the next posting into `pending` (one entry, in place on the
-    /// pinned frame). Navigation is driven by the skip table: each block's
-    /// exact page and byte offset is known, so entering a block pins its
-    /// page (when not already pinned) and positions the frame at the count
-    /// varint.
-    fn ensure_pending<S: PageStore>(&mut self, pool: &BufferPool<S>) -> StorageResult<()> {
-        if self.pending.is_some() {
+    /// Decodes the next posting into `head` (one entry, in place on the
+    /// pinned frame), unless one is loaded. Navigation is driven by the
+    /// skip table: each block's exact page and byte offset is known, so
+    /// entering a block pins its page (when not already pinned) and
+    /// positions the frame at the count varint.
+    fn ensure_loaded<S: PageStore>(&mut self, pool: &BufferPool<S>) -> StorageResult<()> {
+        if self.loaded {
             return Ok(());
         }
         loop {
@@ -701,13 +742,11 @@ impl<C: BlockCodec> ListReader<C> {
                     .page
                     .get(frame.off..)
                     .ok_or_else(|| StorageError::corrupt("block prefix overruns page"))?;
-                let (blk, used) = self
+                frame.off += self
                     .codec
-                    .read_prefix(buf)
+                    .read_prefix(buf, &mut self.blk)
                     .map_err(|e| StorageError::corrupt(format!("block prefix: {e}")))?;
-                frame.off += used;
-                self.blk = blk;
-                self.prev = None;
+                self.based = false;
                 self.block_remaining = count;
                 self.entered_blocks += 1;
                 self.blocks_decoded += 1;
@@ -720,14 +759,15 @@ impl<C: BlockCodec> ListReader<C> {
                 .page
                 .get(frame.off..)
                 .ok_or_else(|| StorageError::corrupt("list entry overruns page"))?;
-            let (p, used) = self
+            let prev = self.based.then(|| C::key(&self.head));
+            frame.off += self
                 .codec
-                .decode(&self.blk, self.prev.as_ref(), buf)
+                .decode_into(&self.blk, prev, buf, &mut self.spare)
                 .map_err(|e| StorageError::corrupt(format!("list page entry: {e}")))?;
-            frame.off += used;
+            std::mem::swap(&mut self.head, &mut self.spare);
             self.block_remaining -= 1;
-            self.prev = Some(C::key(&p).clone());
-            self.pending = Some(p);
+            self.based = true;
+            self.loaded = true;
             return Ok(());
         }
     }
@@ -743,7 +783,7 @@ impl<C: BlockCodec> ListReader<C> {
         pool: &BufferPool<S>,
         target: &C::Key,
     ) -> StorageResult<()> {
-        if self.pending.as_ref().is_some_and(|p| C::key(p) >= target) {
+        if self.current().is_some_and(|p| C::key(p) >= target) {
             return Ok(());
         }
         if let Some(idx) = self.skip.last_leq(&C::encode_key(target)) {
@@ -753,7 +793,7 @@ impl<C: BlockCodec> ListReader<C> {
                 self.blocks_skipped += (idx - self.entered_blocks) as u64;
                 self.entered_blocks = idx;
                 self.block_remaining = 0;
-                self.dropped += self.pending.take().is_some() as u64;
+                self.dropped += std::mem::take(&mut self.loaded) as u64;
                 let jump_page = self.skip.blocks[idx].page;
                 if self.frame.as_ref().is_none_or(|f| f.page_no != jump_page) {
                     self.frame = None; // pinned lazily on next decode
@@ -762,10 +802,10 @@ impl<C: BlockCodec> ListReader<C> {
         }
         // Decode-and-drop inside the landing block up to the target.
         loop {
-            self.ensure_pending(pool)?;
-            match &self.pending {
+            self.ensure_loaded(pool)?;
+            match self.current() {
                 Some(p) if C::key(p) < target => {
-                    self.pending = None;
+                    self.loaded = false;
                     self.dropped += 1;
                 }
                 _ => return Ok(()),
@@ -782,20 +822,20 @@ impl<C: BlockCodec> ListReader<C> {
         &mut self,
         pool: &BufferPool<S>,
     ) -> StorageResult<Option<f32>> {
-        if let Some(p) = &self.pending {
+        if let Some(p) = self.current() {
             return Ok(Some(C::rank(p)));
         }
         if self.block_remaining == 0 {
             return Ok(self.skip.blocks.get(self.entered_blocks).map(|b| b.max_rank));
         }
         // Mid-block the next entry decodes off the already-pinned frame.
-        self.ensure_pending(pool)?;
-        Ok(self.pending.as_ref().map(C::rank))
+        self.ensure_loaded(pool)?;
+        Ok(self.current().map(C::rank))
     }
 
     /// True once every posting has been yielded.
     pub fn exhausted(&self) -> bool {
-        self.pending.is_none()
+        !self.loaded
             && self.block_remaining == 0
             && self.entered_blocks >= self.skip.blocks.len()
     }
@@ -805,7 +845,7 @@ impl<C: BlockCodec> ListReader<C> {
     /// that never [`ListReader::next_seek`] (seeks drop entries without
     /// counting them) — i.e. the rank-ordered readers of the TA loops.
     pub fn at_end(&self) -> bool {
-        self.pending.is_none() && self.consumed >= self.meta.entry_count
+        !self.loaded && self.consumed >= self.meta.entry_count
     }
 }
 
@@ -843,8 +883,7 @@ pub fn scan_block(
 
     let (count, n) = codec::read_component(rest(offset)?).map_err(bad)?;
     let mut off = offset + n;
-    let (_, n) = block::RankDict::read(rest(off)?).map_err(bad)?;
-    off += n;
+    off += block::RankDict::read(rest(off)?, &mut Vec::new()).map_err(bad)?;
     // `cur`: the entry just decoded; `prev`: the one before it (the delta
     // base, and the predecessor on a hit).
     let (mut cur, mut prev) = (Vec::new(), Vec::new());
@@ -1020,6 +1059,41 @@ mod tests {
         // A block that claims to run past the page ends in an error.
         assert!(scan_block(&clean[..used - 3], b.offset as usize, None).is_err());
         assert!(scan_block(&clean, PAGE_SIZE + 1, None).is_err());
+    }
+
+    #[test]
+    fn damaged_entry_through_advance_is_corrupt_not_a_panic() {
+        let mut pool = BufferPool::new(MemStore::new(), 64);
+        let seg = pool.store_mut().create_segment().unwrap();
+        let w = write_list(&mut pool, seg, PostingCodec, &postings(100), PAGE_SIZE).unwrap();
+        assert_eq!(w.meta.page_count, 1);
+        let id = PageId::new(seg, w.meta.start_page);
+        let clean = pool.read(id).unwrap().to_vec();
+        let n = u16::from_le_bytes([clean[COUNT_OFF], clean[COUNT_OFF + 1]]);
+        let mut typed = 0;
+        for at in PAGE_HEADER..w.meta.used_bytes as usize {
+            for flip in [0x80u8, 0x7f, 0xff] {
+                let mut page = clean.clone();
+                page[at] ^= flip;
+                // Re-sealed: the checksum passes, so the decoder itself
+                // must not trust what it reads.
+                seal(&mut page, n);
+                pool.write_page(id, &page).unwrap();
+                let mut r = ListReader::new(seg, &w, PostingCodec);
+                loop {
+                    match r.advance(&pool) {
+                        Ok(true) => assert!(r.current().is_some()),
+                        Ok(false) => break,
+                        Err(e) => {
+                            assert!(matches!(e, StorageError::Corrupt { .. }), "{e}");
+                            typed += 1;
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(typed > 0, "some damage must be detectable by the decoder itself");
     }
 
     #[test]
@@ -1204,12 +1278,18 @@ mod tests {
     enum Op {
         Next,
         Peek,
+        Advance,
+        Current,
         Seek { pos: usize, exact: bool },
     }
 
     /// Runs `script` through a fresh reader over `items`, then drains the
-    /// reader, checking every answer against the in-memory vector.
-    /// `key_at(pos, exact)` is the seek target for position `pos`.
+    /// reader with `next` or with `advance`, checking every answer and what
+    /// `current` shows after every step against the in-memory vector.
+    /// `key_at(pos, exact)` is the seek target for position `pos`. Returns
+    /// the reader's counters (consumed, decoded, blocks decoded, blocks
+    /// skipped) after the drain.
+    #[allow(clippy::too_many_arguments)]
     fn run_script<C: BlockCodec>(
         pool: &BufferPool<MemStore>,
         seg: SegmentId,
@@ -1217,16 +1297,20 @@ mod tests {
         items: &[C::Item],
         info: &ListInfo,
         script: &[Op],
+        drain_by_advance: bool,
         key_at: impl Fn(usize, bool) -> C::Key,
-    ) -> Result<(), String>
+    ) -> Result<[u64; 4], String>
     where
         C::Item: PartialEq,
     {
         let io = |e: StorageError| e.to_string();
         let mut r = ListReader::new(seg, info, codec);
-        // `cur`: index of the posting the reader must yield next.
-        let (mut cur, mut yielded) = (0usize, 0u32);
-        let drain = std::iter::repeat_n(&Op::Next, items.len() + 1);
+        // `cur`: index of the posting the reader shows or yields next;
+        // `loaded`: whether `current` shows it; `consumed`: postings
+        // yielded by `next` or stepped past by `advance`.
+        let (mut cur, mut loaded, mut consumed) = (0usize, false, 0u32);
+        let drain_op = if drain_by_advance { &Op::Advance } else { &Op::Next };
+        let drain = std::iter::repeat_n(drain_op, items.len() + 2);
         for (step, op) in script.iter().chain(drain).enumerate() {
             match op {
                 Op::Next => {
@@ -1235,37 +1319,57 @@ mod tests {
                         return Err(format!("step {step}: next at {cur} yielded {got:?}"));
                     }
                     cur += got.is_some() as usize;
-                    yielded += got.is_some() as u32;
-                    continue;
+                    consumed += got.is_some() as u32;
+                    loaded = false;
                 }
-                Op::Peek => {}
+                Op::Advance => {
+                    if loaded {
+                        cur += 1;
+                        consumed += 1;
+                    }
+                    loaded = cur < items.len();
+                    if r.advance(pool).map_err(io)? != loaded {
+                        return Err(format!("step {step}: advance at {cur} misreported the end"));
+                    }
+                }
+                Op::Peek => {
+                    let head = r.peek(pool).map_err(io)?;
+                    if head != items.get(cur) {
+                        return Err(format!("step {step}: peek {head:?}, expected index {cur}"));
+                    }
+                    loaded = cur < items.len();
+                }
+                Op::Current => {}
                 Op::Seek { pos, exact } => {
                     let target = key_at(*pos, *exact);
                     r.next_seek(pool, &target).map_err(io)?;
                     cur = cur.max(items.partition_point(|i| C::key(i) < &target));
+                    loaded = cur < items.len();
                 }
             }
-            let head = r.peek(pool).map_err(io)?;
-            if head != items.get(cur) {
-                return Err(format!("step {step} {op:?}: head {head:?}, expected index {cur}"));
+            let shown = items.get(cur).filter(|_| loaded);
+            if r.current() != shown || r.consumed() != consumed {
+                let got = r.current();
+                return Err(format!("step {step} {op:?}: shows {got:?}, expected {shown:?}; {r:?}"));
             }
         }
         let blocks = info.skip.blocks.len() as u64;
         if !r.exhausted()
-            || r.consumed() != yielded
-            || r.decoded() < yielded as u64
+            || r.decoded() < consumed as u64
             || r.decoded() > items.len() as u64
             || r.blocks_decoded() + r.blocks_skipped() != blocks
         {
             return Err(format!("counters after the drain: {r:?}"));
         }
-        Ok(())
+        Ok([r.consumed() as u64, r.decoded(), r.blocks_decoded(), r.blocks_skipped()])
     }
 
     fn op(len: usize) -> impl Strategy<Value = Op> {
         prop_oneof![
             4 => Just(Op::Next),
             2 => Just(Op::Peek),
+            4 => Just(Op::Advance),
+            1 => Just(Op::Current),
             3 => (0..len + 1, any::<bool>()).prop_map(|(pos, exact)| Op::Seek { pos, exact }),
             // Short hops: the seek that stays inside the current block.
             3 => (0usize..40, any::<bool>()).prop_map(|(pos, exact)| Op::Seek { pos, exact }),
@@ -1277,7 +1381,8 @@ mod tests {
 
         /// The one reader, both codecs: the same random script over a
         /// Dewey list and a delta naive list of the same length agrees
-        /// with the vectors the lists were written from.
+        /// with the vectors the lists were written from, and the counters
+        /// come out the same whether `next` or `advance` drains the rest.
         #[test]
         fn random_scripts_match_the_vectors(script in proptest::collection::vec(op(3000), 1..120)) {
             const N: u32 = 3000;
@@ -1305,12 +1410,21 @@ mod tests {
                 Some(p) => p.elem - !exact as u32,
                 None => u32::MAX,
             };
-            if let Err(e) = run_script(&pool, seg, PostingCodec, &ps, &dewey, &script, dewey_key) {
-                prop_assert!(false, "dewey list: {e}");
-            }
             let codec = NaiveCodec { delta: true };
-            if let Err(e) = run_script(&pool, seg, codec, &ns, &naive, &script, naive_key) {
-                prop_assert!(false, "naive list: {e}");
+            for (by_next, by_advance) in [
+                (
+                    run_script(&pool, seg, PostingCodec, &ps, &dewey, &script, false, dewey_key),
+                    run_script(&pool, seg, PostingCodec, &ps, &dewey, &script, true, dewey_key),
+                ),
+                (
+                    run_script(&pool, seg, codec, &ns, &naive, &script, false, naive_key),
+                    run_script(&pool, seg, codec, &ns, &naive, &script, true, naive_key),
+                ),
+            ] {
+                match (by_next, by_advance) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "counters depend on the drain"),
+                    (Err(e), _) | (_, Err(e)) => prop_assert!(false, "{e}"),
+                }
             }
         }
     }

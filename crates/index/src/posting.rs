@@ -24,7 +24,7 @@ use xrank_dewey::DeweyId;
 use xrank_graph::ElemId;
 
 /// One inverted-list entry for the Dewey-based indexes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Posting {
     /// The element (dense id, for in-memory cross-referencing).
     pub elem: ElemId,
@@ -38,7 +38,7 @@ pub struct Posting {
 
 /// One inverted-list entry for the naive indexes (element-id keyed; the
 /// element may be an ancestor of the keyword's actual location).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NaivePosting {
     /// The element id.
     pub elem: ElemId,
@@ -69,12 +69,23 @@ pub fn payload_len(positions: &[u32]) -> usize {
 /// Decodes a payload produced by [`encode_payload`], returning
 /// `(rank, positions, bytes_consumed)`.
 pub fn decode_payload(buf: &[u8]) -> Result<(f32, Vec<u32>, usize), DecodeError> {
+    let mut positions = Vec::new();
+    let (rank, n) = decode_payload_into(buf, &mut positions)?;
+    Ok((rank, positions, n))
+}
+
+/// [`decode_payload`] into a caller-owned positions buffer (cleared
+/// first), returning `(rank, bytes_consumed)`.
+pub fn decode_payload_into(
+    buf: &[u8],
+    positions: &mut Vec<u32>,
+) -> Result<(f32, usize), DecodeError> {
     if buf.len() < 4 {
         return Err(DecodeError::Truncated);
     }
     let rank = f32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    let (positions, n) = decode_positions(&buf[4..])?;
-    Ok((rank, positions, 4 + n))
+    let n = decode_positions_into(&buf[4..], positions)?;
+    Ok((rank, 4 + n))
 }
 
 /// Appends the positions part of a payload (count + deltas, no rank) —
@@ -95,16 +106,17 @@ pub fn positions_len(positions: &[u32]) -> usize {
     payload_len(positions) - 4
 }
 
-/// Decodes positions written by [`encode_positions`], returning
-/// `(positions, bytes_consumed)`.
-pub fn decode_positions(buf: &[u8]) -> Result<(Vec<u32>, usize), DecodeError> {
+/// Decodes positions written by [`encode_positions`] into `out` (cleared
+/// first, its allocation kept), returning the bytes consumed.
+pub fn decode_positions_into(buf: &[u8], out: &mut Vec<u32>) -> Result<usize, DecodeError> {
     let (npos, mut off) = codec::read_component(buf)?;
     // Every position takes at least one byte, so a count beyond the
     // remaining bytes is corruption — reject before reserving capacity.
     if npos as usize > buf.len() - off {
         return Err(DecodeError::Truncated);
     }
-    let mut positions = Vec::with_capacity(npos as usize);
+    out.clear();
+    out.reserve(npos as usize);
     let mut cur = 0u32;
     for i in 0..npos {
         let (delta, n) = codec::read_component(&buf[off..])?;
@@ -114,9 +126,9 @@ pub fn decode_positions(buf: &[u8]) -> Result<(Vec<u32>, usize), DecodeError> {
         } else {
             cur.checked_add(delta).ok_or(DecodeError::Overflow)?
         };
-        positions.push(cur);
+        out.push(cur);
     }
-    Ok((positions, off))
+    Ok(off)
 }
 
 /// Byte length of a positions run written by [`encode_positions`],
@@ -167,11 +179,15 @@ mod tests {
 
     #[test]
     fn skip_positions_matches_decode_positions() {
+        // One reused buffer across runs of different lengths: what a
+        // reader that decodes in place does.
+        let mut out = vec![7, 7, 7, 7, 7];
         for positions in [&[][..], &[0], &[3, 17, 17_000, 900_000]] {
             let mut buf = Vec::new();
             encode_positions(positions, &mut buf);
             buf.extend_from_slice(&[0xAA, 0xBB]); // the next entry's bytes
-            let (_, used) = decode_positions(&buf).unwrap();
+            let used = decode_positions_into(&buf, &mut out).unwrap();
+            assert_eq!(out, positions);
             assert_eq!(skip_positions(&buf).unwrap(), used);
             assert!(positions.is_empty() || skip_positions(&buf[..used - 1]).is_err());
         }

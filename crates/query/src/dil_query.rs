@@ -122,11 +122,14 @@ pub fn evaluate_traced<S: PageStore>(
         let mut entry = stack.pop().expect("pop on non-empty stack");
 
         // Frames shallower than [doc, root] are bookkeeping, not elements.
-        // The Dewey ID is materialized only for actual results; scoring
-        // reads the frame's position lists in place.
+        // Scoring reads the frame's position lists in place; the window
+        // sweep needs them ascending, and a frame holds its own positions
+        // ahead of its children's. The Dewey ID is built only for a score
+        // the heap keeps.
         if entry.has_all() && path.len() >= 2 {
+            entry.pos_lists.iter_mut().for_each(|l| l.sort_unstable());
             let score = opts.overall_rank(&entry.ranks, &entry.pos_lists);
-            heap.offer(DeweyId::from(path.as_slice()), score);
+            heap.offer_with(score, || DeweyId::from(path.as_slice()));
             entry.contains_all = true;
         }
         path.pop();
@@ -146,9 +149,27 @@ pub fn evaluate_traced<S: PageStore>(
         spare.push(entry);
     };
 
+    // The reader whose head the last iteration attached to the stack. It
+    // is stepped past only after the next guard check, so a stop leaves
+    // the page reads and decode counts where consuming it lazily would.
+    let mut attached: Option<usize> = None;
+    // The leapfrog's seek target, refilled in place.
+    let mut seek_to = DeweyId::default();
+
     loop {
         if guard.should_stop()? {
             break;
+        }
+        // Every reader shows its head from here on (or is exhausted): the
+        // first pass loads them all, later ones step past the one head
+        // consumed, and a leapfrog seek lands on a loaded head.
+        match attached.take() {
+            Some(il) => _ = readers[il].advance(pool)?,
+            None => {
+                for reader in readers.iter_mut() {
+                    reader.peek(pool)?;
+                }
+            }
         }
         // Document-granularity leapfrog. Every posting consumed so far has
         // a document at or before the stack's, so a document strictly
@@ -165,8 +186,8 @@ pub fn evaluate_traced<S: PageStore>(
             let mut max_doc = 0u32;
             let mut min_doc = u32::MAX;
             let mut any_exhausted = false;
-            for reader in readers.iter_mut() {
-                match reader.peek(pool)? {
+            for reader in &readers {
+                match reader.current() {
                     Some(p) => {
                         let doc = p.dewey.components()[0];
                         max_doc = max_doc.max(doc);
@@ -184,29 +205,29 @@ pub fn evaluate_traced<S: PageStore>(
                     break;
                 }
             } else if min_doc < max_doc {
-                let target = DeweyId::from([max_doc]);
+                let target = seek_to.components_mut();
+                target.clear();
+                target.push(max_doc);
                 for reader in readers.iter_mut() {
-                    let Some(p) = reader.peek(pool)? else { continue };
+                    let Some(p) = reader.current() else { continue };
                     let doc = p.dewey.components()[0];
                     if doc < max_doc && stack_doc != Some(doc) {
-                        reader.next_seek(pool, &target)?;
+                        reader.next_seek(pool, &seek_to)?;
                     }
                 }
             }
         }
-        // Line 8: the reader whose next entry has the smallest Dewey ID.
-        let mut smallest: Option<(usize, DeweyId)> = None;
-        for (i, reader) in readers.iter_mut().enumerate() {
-            let Some(p) = reader.peek(pool)? else { continue };
-            let d = p.dewey.clone();
-            match &smallest {
-                Some((_, best)) if *best <= d => {}
-                _ => smallest = Some((i, d)),
+        // Line 8: the reader whose head has the smallest Dewey ID, compared
+        // where it lies; ties keep the lowest reader index.
+        let mut smallest: Option<(usize, &Posting)> = None;
+        for (i, reader) in readers.iter().enumerate() {
+            let Some(p) = reader.current() else { continue };
+            if smallest.is_none_or(|(_, best)| p.dewey.components() < best.dewey.components()) {
+                smallest = Some((i, p));
             }
         }
-        let Some((il, _)) = smallest else { break };
-        // The peek above buffered this entry, so `next` cannot be `None`.
-        let Some(current) = readers[il].next(pool)? else { break };
+        let Some((il, current)) = smallest else { break };
+        attached = Some(il);
         stats.entries_scanned += 1;
 
         // Lines 10-11: longest common prefix with the stack.
@@ -232,7 +253,7 @@ pub fn evaluate_traced<S: PageStore>(
         let top = stack.last_mut().expect("just pushed");
         top.ranks[il] = opts
             .aggregation
-            .combine(top.ranks[il], occurrence_rank(&current, opts));
+            .combine(top.ranks[il], occurrence_rank(current, opts));
         top.pos_lists[il].extend_from_slice(&current.positions);
     }
 
@@ -411,6 +432,21 @@ mod tests {
         let opts1 = QueryOptions { proximity: Proximity::One, ..opts };
         let out1 = run(&pool, &idx, &c, &["alpha", "beta"], &opts1);
         assert!((out1.results[0].score - out1.results[1].score).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mixed_content_window_counts_positions_in_document_order() {
+        // <p>'s frame collects its own 'alpha' (position 5) before its
+        // child's (position 0); the window is 'alpha beta' at 0..1, so the
+        // proximity factor is exactly 1.
+        let xml = "<r><p><b>alpha</b> beta w1 w2 w3 alpha</p></r>";
+        let (pool, idx, c) = setup(xml);
+        let opts = QueryOptions { top_m: 10, ..Default::default() };
+        let out = run(&pool, &idx, &c, &["alpha", "beta"], &opts);
+        let flat = QueryOptions { proximity: Proximity::One, ..opts.clone() };
+        let out_flat = run(&pool, &idx, &c, &["alpha", "beta"], &flat);
+        assert_eq!(names_of(&out.results, &c), ["p"]);
+        assert_eq!(out.results[0].score.to_bits(), out_flat.results[0].score.to_bits());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::access::{ProbeCursor, RankedAccess};
 use crate::dil_query::occurrence_rank;
 use crate::score::{Aggregation, QueryOptions, TopM};
 use crate::{EvalGuard, EvalStats, QueryError, QueryOutcome};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound::{Included, Unbounded};
 use xrank_dewey::DeweyId;
 use xrank_obs::{EventData, QueryTrace, Stage};
@@ -412,36 +412,40 @@ pub(crate) fn score_candidate<S: PageStore, A: RankedAccess<S>>(
     }
     drop(scan_span);
 
-    // Which direct children of lcp contain all keywords? (Counting
-    // distinct keywords per child rather than bitmasking keeps arbitrary
-    // query lengths safe — a 33-keyword query must not overflow a mask.)
+    // Which direct children of lcp contain all keywords? A range scan
+    // returns its postings in Dewey order, so each keyword's child
+    // components under lcp come out ascending: keep one de-duplicated run
+    // per keyword and intersect the runs in one forward merge.
     let depth = lcp.len();
-    let mut child_cover: HashMap<u32, HashSet<usize>> = HashMap::new();
-    for (i, list) in per_kw.iter().enumerate() {
-        for p in list {
-            if p.dewey.len() > depth {
-                child_cover
-                    .entry(p.dewey.components()[depth])
-                    .or_default()
-                    .insert(i);
+    let mut runs = per_kw.iter().map(|list| {
+        let mut run: Vec<u32> = Vec::new();
+        for c in list.iter().filter_map(|p| p.dewey.components().get(depth)) {
+            if run.last() != Some(c) {
+                run.push(*c);
             }
         }
-    }
-    let complete: HashSet<u32> = child_cover
-        .iter()
-        .filter(|(_, kws)| kws.len() == n)
-        .map(|(&c, _)| c)
-        .collect();
+        run
+    });
+    let mut complete = runs.next().unwrap_or_default();
+    let rest: Vec<Vec<u32>> = runs.collect();
+    let mut at = vec![0usize; rest.len()];
+    complete.retain(|&c| {
+        rest.iter().zip(at.iter_mut()).all(|(run, i)| {
+            while run.get(*i).is_some_and(|&x| x < c) {
+                *i += 1;
+            }
+            run.get(*i) == Some(&c)
+        })
+    });
 
     // Aggregate relevant occurrences per keyword.
     let mut ranks = vec![0.0f64; n];
     let mut pos_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
     for (i, list) in per_kw.iter().enumerate() {
         for p in list {
-            let relevant = if p.dewey.len() == depth {
-                true // direct value occurrence
-            } else {
-                !complete.contains(&p.dewey.components()[depth])
+            let relevant = match p.dewey.components().get(depth) {
+                None => true, // direct value occurrence
+                Some(c) => complete.binary_search(c).is_err(),
             };
             if !relevant {
                 continue;

@@ -161,45 +161,46 @@ impl QueryOptions {
     }
 }
 
+/// Queries up to this many keywords keep [`min_window`]'s cursors on the
+/// stack; longer ones put them in a `Vec`.
+const WINDOW_CURSORS: usize = 8;
+
 /// Smallest window (in words, inclusive span) containing at least one
-/// position from every list. Classic k-list sliding window over the merged
-/// position sequence. Returns `None` when some list is empty.
+/// position from every list; each list must be ascending. One k-pointer
+/// sweep: every window whose left end is some list's head is measured,
+/// then that list steps forward, until one runs out — the optimal window
+/// is measured when its leftmost witness is the smallest head. Returns
+/// `None` when some list is empty (or there are none).
 pub fn min_window<L: AsRef<[u32]>>(pos_lists: &[L]) -> Option<u64> {
     let k = pos_lists.len();
-    if pos_lists.iter().any(|l| l.as_ref().is_empty()) {
+    if k == 0 || pos_lists.iter().any(|l| l.as_ref().is_empty()) {
         return None;
     }
-    // Merge (position, list) pairs.
-    let mut merged: Vec<(u32, usize)> = Vec::new();
-    for (i, list) in pos_lists.iter().enumerate() {
-        for &p in list.as_ref() {
-            merged.push((p, i));
-        }
-    }
-    merged.sort_unstable();
-
-    let mut counts = vec![0usize; k];
-    let mut covered = 0usize;
-    let mut best: Option<u64> = None;
-    let mut lo = 0usize;
-    for hi in 0..merged.len() {
-        let (_, list_hi) = merged[hi];
-        if counts[list_hi] == 0 {
-            covered += 1;
-        }
-        counts[list_hi] += 1;
-        while covered == k {
-            let span = (merged[hi].0 - merged[lo].0) as u64 + 1;
-            best = Some(best.map_or(span, |b| b.min(span)));
-            let (_, list_lo) = merged[lo];
-            counts[list_lo] -= 1;
-            if counts[list_lo] == 0 {
-                covered -= 1;
+    debug_assert!(pos_lists.iter().all(|l| l.as_ref().is_sorted()), "unsorted positions");
+    let mut on_stack = [0usize; WINDOW_CURSORS];
+    let mut on_heap = Vec::new();
+    let at: &mut [usize] = if k <= WINDOW_CURSORS {
+        &mut on_stack[..k]
+    } else {
+        on_heap.resize(k, 0);
+        &mut on_heap
+    };
+    let mut best = u64::MAX;
+    loop {
+        let (mut lo, mut lo_list, mut hi) = (u32::MAX, 0, 0);
+        for (i, list) in pos_lists.iter().enumerate() {
+            let p = list.as_ref()[at[i]];
+            if p < lo {
+                (lo, lo_list) = (p, i);
             }
-            lo += 1;
+            hi = hi.max(p);
+        }
+        best = best.min((hi - lo) as u64 + 1);
+        at[lo_list] += 1;
+        if at[lo_list] == pos_lists[lo_list].as_ref().len() {
+            return Some(best);
         }
     }
-    best
 }
 
 /// One ranked query result.
@@ -250,6 +251,18 @@ impl TopM {
         self.heap.push(Reverse((F64Ord(score), Reverse(dewey))));
         if self.heap.len() > self.m {
             self.heap.pop();
+        }
+    }
+
+    /// [`TopM::offer`] that builds the result's ID only when the heap
+    /// would keep it: a full heap turns away a score strictly below its
+    /// worst without calling `dewey`. An equal score still goes in — the
+    /// tie is broken by ID.
+    pub fn offer_with(&mut self, score: f64, dewey: impl FnOnce() -> DeweyId) {
+        let beaten = self.heap.len() >= self.m
+            && self.heap.peek().is_none_or(|Reverse((worst, _))| F64Ord(score) < *worst);
+        if !beaten {
+            self.offer(dewey(), score);
         }
     }
 
@@ -317,6 +330,14 @@ mod tests {
         let full: &[u32] = &[1, 2];
         let empty: &[u32] = &[];
         assert_eq!(min_window(&[full, empty]), None);
+        assert_eq!(min_window::<&[u32]>(&[]), None);
+    }
+
+    #[test]
+    fn min_window_shared_positions() {
+        // A keyword repeated in the query: both lists hold position 4.
+        assert_eq!(min_window(&[&[4, 9], &[4, 9]]), Some(1));
+        assert_eq!(min_window(&[&[1, 4][..], &[4], &[2, 4]]), Some(1));
     }
 
     #[test]
@@ -369,8 +390,19 @@ mod tests {
     fn top_zero_is_inert() {
         let mut h = TopM::new(0);
         h.offer(DeweyId::from([0, 0]), 1.0);
+        h.offer_with(1.0, || unreachable!("a zero-size heap keeps nothing"));
         assert!(h.is_empty());
         assert!(h.into_sorted().is_empty());
+    }
+
+    #[test]
+    fn offer_with_builds_ids_only_for_kept_scores() {
+        let mut h = TopM::new(1);
+        h.offer_with(0.5, || DeweyId::from([0, 0, 9]));
+        h.offer_with(0.4, || unreachable!("strictly below the worst kept score"));
+        // An equal score is a tie broken by ID, so it must be built.
+        h.offer_with(0.5, || DeweyId::from([0, 0, 1]));
+        assert_eq!(h.into_sorted()[0].dewey, DeweyId::from([0, 0, 1]));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Property tests for the scoring machinery: the sliding-window minimum
-//! against a brute-force oracle, and top-m heap invariants.
+//! Property tests for the scoring machinery: the window sweep against a
+//! brute-force oracle, and top-m heap invariants.
 
 use proptest::prelude::*;
 use xrank_dewey::DeweyId;
@@ -32,14 +32,16 @@ fn brute_force_window(lists: &[Vec<u32>]) -> Option<u64> {
     best
 }
 
+/// 1–12 keywords (past the sweep's 8 cursors on the stack), up to 40
+/// positions each; a narrow range makes lists share positions.
 fn pos_lists() -> impl Strategy<Value = Vec<Vec<u32>>> {
     proptest::collection::vec(
-        proptest::collection::vec(0u32..300, 1..12).prop_map(|mut v| {
+        proptest::collection::vec(0u32..300, 1..41).prop_map(|mut v| {
             v.sort_unstable();
             v.dedup();
             v
         }),
-        1..5,
+        1..13,
     )
 }
 
@@ -88,5 +90,31 @@ proptest! {
             prop_assert_eq!(g.score, *score);
             prop_assert_eq!(&g.dewey, dewey);
         }
+    }
+
+    /// The lazy offer keeps exactly what the eager one keeps — scores
+    /// drawn from a handful of values, so equal scores meet a full heap
+    /// and their ties are broken by ID — and it builds an ID only for a
+    /// score that is not strictly below a full heap's worst.
+    #[test]
+    fn lazy_offer_keeps_what_offer_keeps(
+        items in proptest::collection::vec((0u32..6, 0u32..100), 0..60),
+        m in 0usize..12,
+    ) {
+        let (mut eager, mut lazy) = (TopM::new(m), TopM::new(m));
+        for (score_raw, id) in &items {
+            let dewey = DeweyId::from([0, *id]);
+            let score = *score_raw as f64 / 4.0;
+            let worst = if eager.len() == m { eager.mth_score() } else { None };
+            let mut built = false;
+            lazy.offer_with(score, || {
+                built = true;
+                dewey.clone()
+            });
+            eager.offer(dewey, score);
+            let needed = m > 0 && worst.is_none_or(|w| score >= w);
+            prop_assert_eq!(built, needed, "score {} against worst {:?}", score, worst);
+        }
+        prop_assert_eq!(lazy.into_sorted(), eager.into_sorted());
     }
 }
