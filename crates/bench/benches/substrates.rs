@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks for the substrates: Dewey codec, B+-tree
-//! probes, posting-list reads, XML parsing, tokenization.
+//! probes, posting-list reads, RDIL's Figure 7 loop, XML parsing,
+//! tokenization.
 //!
 //! Run with `cargo bench -p xrank-bench --bench substrates`. The shim
 //! prints min / mean / max per benchmark; compare minimums, which see
@@ -10,8 +11,8 @@ use std::hint::black_box;
 use xrank_dewey::{codec, DeweyId};
 use xrank_graph::TermId;
 use xrank_index::posting::Posting;
-use xrank_index::DilIndex;
-use xrank_query::{dil_query, QueryOptions};
+use xrank_index::{DilIndex, RdilIndex};
+use xrank_query::{dil_query, rdil_query, QueryOptions};
 use xrank_storage::btree::SortedKv;
 use xrank_storage::{BufferPool, MemStore};
 
@@ -162,6 +163,50 @@ fn bench_list(c: &mut Criterion) {
     g.finish();
 }
 
+/// RDIL's Figure 7 loop (§4.3.2) on two keyword pairs over 40 000
+/// documents, one posting per keyword and document, cached in the pool;
+/// each list spans about a hundred B+-tree leaves. `alpha` and `beta` sit
+/// in disjoint documents except every 500th, which holds both: the
+/// Fig. 11 regime, where nearly every consumed entry's probe kills it and
+/// the TA loop runs deep. `gamma` and `delta` share an element in every
+/// document: the Fig. 10 regime, where the loop stops after a few rounds.
+fn bench_rdil(c: &mut Criterion) {
+    const DOCS: u32 = 40_000;
+    let list = |keep: fn(u32) -> bool, path: &[u32], salt: u32| -> Vec<Posting> {
+        (0..DOCS)
+            .filter(|&d| keep(d))
+            .map(|d| Posting {
+                elem: 0,
+                dewey: DeweyId::from_components([&[d, 0][..], path].concat()),
+                rank: ((d.wrapping_mul(2_654_435_761) ^ salt) % 9973 + 1) as f32 / 16_384.0,
+                positions: vec![d % 40 + salt, d % 40 + 9],
+            })
+            .collect()
+    };
+    let alpha = list(|d| d % 2 == 0 || d % 500 == 1, &[1], 1);
+    let beta = list(|d| d % 2 == 1, &[2, 0], 2);
+    let gamma = list(|_| true, &[3], 3);
+    let delta = list(|_| true, &[3], 4);
+    let entries = (alpha.len() + beta.len()) as u64;
+    let mut pool = BufferPool::new(MemStore::new(), 1 << 14);
+    let rdil = RdilIndex::build(&mut pool, &[alpha, beta, gamma, delta]).unwrap();
+    assert!(rdil.tree.leaf_count >= 300, "{} leaves", rdil.tree.leaf_count);
+    let opts = QueryOptions::default();
+    let (uncorrelated, correlated) = ([TermId(0), TermId(1)], [TermId(2), TermId(3)]);
+
+    let mut g = c.benchmark_group("rdil");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(entries));
+    g.bench_function("evaluate-uncorrelated/2kw", |bch| {
+        bch.iter(|| black_box(rdil_query::evaluate(&pool, &rdil, &uncorrelated, &opts).unwrap()))
+    });
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("evaluate-correlated/2kw", |bch| {
+        bch.iter(|| black_box(rdil_query::evaluate(&pool, &rdil, &correlated, &opts).unwrap()))
+    });
+    g.finish();
+}
+
 fn bench_xml_parse(c: &mut Criterion) {
     let ds = xrank_datagen::xmark::generate(&xrank_datagen::xmark::XmarkConfig {
         scale: 0.2,
@@ -179,5 +224,12 @@ fn bench_xml_parse(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_dewey_codec, bench_btree_probe, bench_list, bench_xml_parse);
+criterion_group!(
+    benches,
+    bench_dewey_codec,
+    bench_btree_probe,
+    bench_list,
+    bench_rdil,
+    bench_xml_parse
+);
 criterion_main!(benches);

@@ -165,14 +165,47 @@ pub fn encoded_len(id: &DeweyId) -> usize {
 }
 
 /// Decodes a byte string produced by [`encode_id`].
-pub fn decode_id(mut buf: &[u8]) -> Result<DeweyId, DecodeError> {
+pub fn decode_id(buf: &[u8]) -> Result<DeweyId, DecodeError> {
     let mut components = Vec::new();
+    decode_id_into(buf, &mut components)?;
+    Ok(DeweyId::from_components(components))
+}
+
+/// [`decode_id`] into a caller-owned component buffer (cleared first, its
+/// allocation kept).
+pub fn decode_id_into(mut buf: &[u8], out: &mut Vec<u32>) -> Result<(), DecodeError> {
+    out.clear();
     while !buf.is_empty() {
         let (v, n) = read_component(buf)?;
-        components.push(v);
+        out.push(v);
         buf = &buf[n..];
     }
-    Ok(DeweyId::from_components(components))
+    Ok(())
+}
+
+/// Length in components of the longest common prefix of two encoded IDs,
+/// read in place: `decode_id(a)?.common_prefix_len(&decode_id(b)?)`
+/// without building either ID. Both strings are read to their ends, so
+/// whatever `decode_id` refuses is refused here too.
+pub fn common_prefix_len(mut a: &[u8], mut b: &[u8]) -> Result<usize, DecodeError> {
+    let mut common = 0;
+    let mut diverged = false;
+    while !a.is_empty() || !b.is_empty() {
+        let x = (!a.is_empty()).then(|| read_component(a)).transpose()?;
+        let y = (!b.is_empty()).then(|| read_component(b)).transpose()?;
+        match (x, y) {
+            (Some((u, n)), Some((v, m))) => {
+                diverged |= u != v;
+                a = &a[n..];
+                b = &b[m..];
+            }
+            (Some((_, n)), None) => (diverged, a) = (true, &a[n..]),
+            (None, Some((_, m))) => (diverged, b) = (true, &b[m..]),
+            (None, None) => unreachable!("one side is non-empty"),
+        }
+        common += !diverged as usize;
+    }
+    Ok(common)
 }
 
 #[cfg(test)]

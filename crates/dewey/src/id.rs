@@ -128,6 +128,12 @@ impl DeweyId {
         DeweyId { components: self.components[..len].to_vec() }
     }
 
+    /// [`DeweyId::prefix`] in place: shortens the ID to its first `len`
+    /// components (a no-op when `len >= self.len()`), keeping the buffer.
+    pub fn truncate(&mut self, len: usize) {
+        self.components.truncate(len);
+    }
+
     /// The smallest ID strictly greater than every ID having `self` as a
     /// prefix — i.e. the exclusive upper bound of `self`'s subtree in the
     /// total order. Used to delimit B+-tree prefix range scans.
@@ -262,6 +268,13 @@ mod tests {
         assert_eq!(d.prefix(3), id(&[9, 0, 4]));
         assert_eq!(d.prefix(0), DeweyId::default());
         assert_eq!(d.prefix(99), d);
+        let mut t = d.clone();
+        let before = t.components().as_ptr();
+        t.truncate(99);
+        assert_eq!(t, d);
+        t.truncate(3);
+        assert_eq!(t, d.prefix(3));
+        assert_eq!(t.components().as_ptr(), before, "truncation keeps the buffer");
     }
 
     #[test]

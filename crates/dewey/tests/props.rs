@@ -87,9 +87,29 @@ proptest! {
         }
     }
 
-    /// Decoding arbitrary garbage never panics.
+    /// The in-place common prefix of two encodings is the decoded one —
+    /// shared prefixes, one ID an ancestor of the other, disjoint IDs.
     #[test]
-    fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let _ = codec::decode_id(&bytes);
+    fn encoded_common_prefix_equals_decoded(a in dewey(), b in dewey(), tail in dewey()) {
+        let mut ext = a.components().to_vec();
+        ext.extend_from_slice(tail.components());
+        let ext = DeweyId::from_components(ext);
+        for (x, y) in [(&a, &b), (&a, &ext), (&ext, &a), (&a, &a)] {
+            let got = codec::common_prefix_len(&codec::encode_id(x), &codec::encode_id(y));
+            prop_assert_eq!(got, Ok(x.common_prefix_len(y)), "{} vs {}", x, y);
+        }
+    }
+
+    /// Decoding arbitrary garbage never panics, and the in-place common
+    /// prefix refuses exactly what decoding refuses.
+    #[test]
+    fn decode_never_panics(
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        other in dewey(),
+    ) {
+        let decoded = codec::decode_id(&bytes);
+        let enc = codec::encode_id(&other);
+        let in_place = codec::common_prefix_len(&bytes, &enc);
+        prop_assert_eq!(in_place, decoded.map(|id| id.common_prefix_len(&other)));
     }
 }

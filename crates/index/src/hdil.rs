@@ -21,6 +21,8 @@ use crate::listio::{
 use crate::posting::Posting;
 use crate::rdil::rank_order;
 use crate::SpaceBreakdown;
+use std::collections::BTreeMap;
+use std::ops::Bound::{Included, Unbounded};
 use std::sync::Arc;
 use xrank_dewey::{codec, DeweyId};
 use xrank_graph::TermId;
@@ -139,6 +141,7 @@ impl HdilIndex {
             at: 0,
             stats: CursorStats::default(),
             decoded: 0,
+            memo: ProbeMemo::default(),
         }
     }
 
@@ -205,13 +208,68 @@ impl HdilIndex {
     }
 }
 
+/// Memo of one keyword's probe answers, keyed by the *gap* each answer
+/// proves empty: a probe returning `(entry, pred)` certifies the list
+/// holds no posting inside the interval `(pred, entry)`, so any later
+/// target in `(pred, entry]` has the identical answer — the index is
+/// immutable for the life of the query. Rank-ordered list consumption
+/// makes probe targets jump around Dewey space; gap keying turns every
+/// pair of targets that land between the same two adjacent postings into
+/// one block scan plus a free lookup, where an exact-target memo would
+/// miss.
+#[derive(Debug, Clone, Default)]
+struct ProbeMemo {
+    /// Answering entry → its predecessor: the gap `(pred, entry]`.
+    gaps: BTreeMap<DeweyId, Option<DeweyId>>,
+    /// The predecessor of a past-the-end answer (no entry ≥ the target):
+    /// the gap `(pred, ∞)`, unbounded below when the inner `Option` is
+    /// `None` (an empty list).
+    past_end: Option<Option<DeweyId>>,
+}
+
+impl ProbeMemo {
+    /// The memoized `(entry, pred)` covering `target`, if some earlier
+    /// probe's gap contains it (`pred < target <= entry`, with open ends
+    /// at `None`). Every recorded entry is a posting, so a target above
+    /// all of them can only be in the past-the-end gap.
+    fn lookup(&self, target: &DeweyId) -> Option<(Option<&DeweyId>, Option<&DeweyId>)> {
+        let above = self.gaps.range::<DeweyId, _>((Included(target), Unbounded)).next();
+        let (entry, pred) = match above {
+            Some((entry, pred)) => (Some(entry), pred.as_ref()),
+            None => (None, self.past_end.as_ref()?.as_ref()),
+        };
+        pred.is_none_or(|p| target > p).then_some((entry, pred))
+    }
+
+    /// Records a fresh probe answer under the gap it certifies empty.
+    fn insert(&mut self, (entry, pred): (Option<DeweyId>, Option<DeweyId>)) {
+        match entry {
+            Some(entry) => {
+                self.gaps.insert(entry, pred);
+            }
+            None => self.past_end = Some(pred),
+        }
+    }
+}
+
+/// How many leading components of `target` a probe answer keeps: the
+/// longer common prefix through the entry or its predecessor (Section
+/// 4.3.2: one of the two shares the longest prefix with the target).
+fn kept(target: &DeweyId, entry: Option<&DeweyId>, pred: Option<&DeweyId>) -> usize {
+    let via = |id: Option<&DeweyId>| id.map_or(0, |id| id.common_prefix_len(target));
+    via(entry).max(via(pred))
+}
+
 /// A per-keyword stateful probe cursor over HDIL's Dewey-sorted list.
 ///
 /// HDIL's B+-tree leaves *are* the list pages (Section 4.4.1), and the
 /// skip table already names the one block (≤ 127 entries) that can hold
 /// the target, so a probe is a binary search in memory plus one block scan
 /// off the pinned page. Answers are the Dewey IDs the scan decodes anyway;
-/// no rank or positions are read.
+/// no rank or positions are read. A block scan decodes postings, and the
+/// §4.4.2 work clock counts them, so the Figure 7 path remembers each
+/// answer's gap ([`HdilProbeCursor::remembered`]) and scans no block twice
+/// for targets in it.
 #[derive(Debug, Clone)]
 pub struct HdilProbeCursor {
     segment: SegmentId,
@@ -223,9 +281,35 @@ pub struct HdilProbeCursor {
     at: usize,
     stats: CursorStats,
     decoded: u64,
+    /// The gaps [`HdilProbeCursor::kept_prefix`]'s answers certified.
+    memo: ProbeMemo,
 }
 
 impl HdilProbeCursor {
+    /// The Figure 7 probe answered from the gaps earlier
+    /// [`HdilProbeCursor::kept_prefix`] probes certified empty: `Some`
+    /// prefix length when one covers `target`. Touches no page and decodes
+    /// nothing.
+    pub fn remembered(&self, target: &DeweyId) -> Option<usize> {
+        self.memo.lookup(target).map(|(entry, pred)| kept(target, entry, pred))
+    }
+
+    /// The Figure 7 probe, reduced to the one number it reads: how many
+    /// leading components `target` shares with its lowest-geq entry or that
+    /// entry's predecessor, whichever shares more. One
+    /// [`HdilProbeCursor::lowest_geq`] probe, whose answer's gap is then
+    /// remembered.
+    pub fn kept_prefix<S: PageStore>(
+        &mut self,
+        pool: &BufferPool<S>,
+        target: &DeweyId,
+    ) -> StorageResult<usize> {
+        let (entry, pred) = self.lowest_geq(pool, target)?;
+        let keep = kept(target, entry.as_ref(), pred.as_ref());
+        self.memo.insert((entry, pred));
+        Ok(keep)
+    }
+
     /// How the probes so far were served: off the pinned page
     /// (`seeks_forward` / `seeks_backward`, by direction from the previous
     /// landing position) or by pinning another page (`descents`).
@@ -390,10 +474,13 @@ mod tests {
     fn prefix_postings_agree_with_rdil() {
         let (pool, hdil, rdil, c) = build_large();
         let term = c.vocabulary().lookup("common").unwrap();
+        let mut cursor = rdil.probe_cursor(term);
+        let mut run = crate::posting::PostingRun::default();
         for prefix in [DeweyId::from([0]), DeweyId::from([0, 0, 42]), DeweyId::from([0, 0, 399])]
         {
             let (h, decoded) = hdil.prefix_postings(&pool, term, &prefix).unwrap();
-            let r = rdil.prefix_postings(&pool, term, &prefix).unwrap();
+            cursor.scan_prefix(&pool, &prefix, &mut run).unwrap();
+            let r = run.as_slice();
             assert_eq!(h.len(), r.len(), "count mismatch under {prefix}");
             assert!(decoded >= h.len() as u64, "every returned posting was decoded");
             for (a, b) in h.iter().zip(r.iter()) {
@@ -637,6 +724,91 @@ mod tests {
             0..6,
         )
         .prop_map(DeweyId::from_components)
+    }
+
+    /// A probe target for the memo, resolved against the generated list.
+    #[derive(Debug, Clone)]
+    enum MemoTarget {
+        /// The `i % len`-th posting itself: the top of the gap below it.
+        Posting(usize),
+        /// Below the first posting.
+        BelowFirst,
+        /// Past the last posting.
+        PastLast,
+        /// Anywhere in (and around) the list's ID space.
+        Any(DeweyId),
+    }
+
+    fn memo_target() -> impl Strategy<Value = MemoTarget> {
+        prop_oneof![
+            3 => (0usize..1000).prop_map(MemoTarget::Posting),
+            1 => Just(MemoTarget::BelowFirst),
+            1 => Just(MemoTarget::PastLast),
+            4 => proptest::collection::vec(0u32..6, 0..5)
+                .prop_map(|c| MemoTarget::Any(DeweyId::from_components(c))),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The gap memo of a cursor answers exactly what a fresh cursor
+        /// answers, for every target it claims to cover — gap tops,
+        /// targets below the first posting and past the last included —
+        /// and a probe's own target is covered once it is remembered.
+        #[test]
+        fn memo_hits_equal_fresh_probes(
+            ids in proptest::collection::btree_set(
+                proptest::collection::vec(0u32..6, 1..5).prop_map(DeweyId::from_components),
+                0..120,
+            ),
+            targets in proptest::collection::vec(memo_target(), 1..60),
+        ) {
+            let list: Vec<DeweyId> = ids.into_iter().collect();
+            let postings = |ids: &[DeweyId]| -> Vec<Posting> {
+                ids.iter()
+                    .map(|d| Posting { elem: 0, dewey: d.clone(), rank: 1.0, positions: vec![0] })
+                    .collect()
+            };
+            let fence = [DeweyId::from([0]), DeweyId::from([3, 3]), DeweyId::from([9, 9, 9])];
+            let mut pool = BufferPool::new(MemStore::new(), 256);
+            let hdil = HdilIndex::build_full(
+                &mut pool,
+                &[postings(&fence), postings(&list), postings(&fence)],
+                DEFAULT_PREFIX_FRACTION,
+                MIN_PREFIX_ENTRIES,
+                256, // small pages: the list spans several blocks and pages
+            )
+            .unwrap();
+            let term = TermId(1);
+            let mut cursor = hdil.probe_cursor(term);
+            for t in &targets {
+                let target = match (t, list.first(), list.last()) {
+                    (MemoTarget::Posting(i), Some(_), _) => list[i % list.len()].clone(),
+                    (MemoTarget::BelowFirst, Some(first), _) => first.prefix(first.len() - 1),
+                    (MemoTarget::PastLast, _, Some(last)) => last.child(0),
+                    (MemoTarget::Any(d), _, _) => d.clone(),
+                    _ => DeweyId::from([1]),
+                };
+                let fresh = hdil.probe_cursor(term).lowest_geq(&pool, &target).unwrap();
+                let keep = kept(&target, fresh.0.as_ref(), fresh.1.as_ref());
+                match cursor.memo.lookup(&target) {
+                    Some((entry, pred)) => {
+                        let hit = (entry.cloned(), pred.cloned());
+                        prop_assert_eq!(hit, fresh, "hit at {}", target);
+                        prop_assert_eq!(cursor.remembered(&target), Some(keep));
+                    }
+                    None => {
+                        prop_assert_eq!(cursor.remembered(&target), None);
+                        let decoded = cursor.postings_decoded();
+                        prop_assert_eq!(cursor.kept_prefix(&pool, &target).unwrap(), keep);
+                        prop_assert!(list.is_empty() || cursor.postings_decoded() > decoded);
+                        let covered = cursor.remembered(&target) == Some(keep);
+                        prop_assert!(covered, "own answer not covered at {}", target);
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

@@ -700,14 +700,22 @@ impl<C: BlockCodec> ListReader<C> {
         Ok(self.current())
     }
 
-    /// Pops the next posting: a clone of what [`ListReader::peek`] shows,
-    /// which then counts as consumed. The following posting is decoded
-    /// only when asked for.
-    pub fn next<S: PageStore>(&mut self, pool: &BufferPool<S>) -> StorageResult<Option<C::Item>> {
+    /// Pops the next posting and shows it in place: what
+    /// [`ListReader::peek`] shows, which then counts as consumed. The
+    /// following posting is decoded only when asked for; until then the
+    /// popped one stays in the reader as that decode's delta base.
+    pub fn pop<S: PageStore>(&mut self, pool: &BufferPool<S>) -> StorageResult<Option<&C::Item>> {
         self.ensure_loaded(pool)?;
-        let p = self.current().cloned();
-        self.consumed += std::mem::take(&mut self.loaded) as u32;
-        Ok(p)
+        if !std::mem::take(&mut self.loaded) {
+            return Ok(None);
+        }
+        self.consumed += 1;
+        Ok(Some(&self.head))
+    }
+
+    /// [`ListReader::pop`], cloned out of the reader.
+    pub fn next<S: PageStore>(&mut self, pool: &BufferPool<S>) -> StorageResult<Option<C::Item>> {
+        Ok(self.pop(pool)?.cloned())
     }
 
     /// Decodes the next posting into `head` (one entry, in place on the
@@ -1277,6 +1285,7 @@ mod tests {
     #[derive(Debug, Clone)]
     enum Op {
         Next,
+        Pop,
         Peek,
         Advance,
         Current,
@@ -1317,6 +1326,15 @@ mod tests {
                     let got = r.next(pool).map_err(io)?;
                     if got.as_ref() != items.get(cur) {
                         return Err(format!("step {step}: next at {cur} yielded {got:?}"));
+                    }
+                    cur += got.is_some() as usize;
+                    consumed += got.is_some() as u32;
+                    loaded = false;
+                }
+                Op::Pop => {
+                    let got = r.pop(pool).map_err(io)?;
+                    if got != items.get(cur) {
+                        return Err(format!("step {step}: pop at {cur} showed {got:?}"));
                     }
                     cur += got.is_some() as usize;
                     consumed += got.is_some() as u32;
@@ -1367,6 +1385,7 @@ mod tests {
     fn op(len: usize) -> impl Strategy<Value = Op> {
         prop_oneof![
             4 => Just(Op::Next),
+            2 => Just(Op::Pop),
             2 => Just(Op::Peek),
             4 => Just(Op::Advance),
             1 => Just(Op::Current),

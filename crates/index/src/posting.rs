@@ -48,6 +48,43 @@ pub struct NaivePosting {
     pub positions: Vec<u32>,
 }
 
+/// A run of postings decoded into slots that outlive one fill:
+/// [`PostingRun::clear`] keeps every slot, with its Dewey and positions
+/// buffers, for the next fill to decode into.
+#[derive(Debug, Clone, Default)]
+pub struct PostingRun {
+    slots: Vec<Posting>,
+    len: usize,
+}
+
+impl PostingRun {
+    /// Empties the run, keeping its slots.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// The postings of the current fill.
+    pub fn as_slice(&self) -> &[Posting] {
+        &self.slots[..self.len]
+    }
+
+    /// Appends a slot for the next posting to be decoded into: a kept one,
+    /// still holding a stale posting, or a fresh default.
+    pub fn push_slot(&mut self) -> &mut Posting {
+        if self.len == self.slots.len() {
+            self.slots.push(Posting::default());
+        }
+        self.len += 1;
+        &mut self.slots[self.len - 1]
+    }
+
+    /// Replaces the run with postings a producer built itself.
+    pub fn set(&mut self, postings: Vec<Posting>) {
+        self.len = postings.len();
+        self.slots = postings;
+    }
+}
+
 /// Appends `rank` + positions payload (no Dewey) to `out`.
 pub fn encode_payload(rank: f32, positions: &[u32], out: &mut Vec<u8>) {
     out.extend_from_slice(&rank.to_le_bytes());
@@ -155,13 +192,6 @@ pub fn composite_key(term: u32, dewey: &DeweyId) -> Vec<u8> {
     key
 }
 
-/// Splits a composite key back into `(term, dewey)`.
-pub fn split_composite_key(key: &[u8]) -> Result<(u32, DeweyId), DecodeError> {
-    let (term, n) = codec::read_component(key)?;
-    let dewey = codec::decode_id(&key[n..])?;
-    Ok((term, dewey))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,11 +241,14 @@ mod tests {
         assert!(k1 < k2 && k2 < k3 && k3 < k4);
     }
 
+    /// The term's varint, then the Dewey encoding: a reader strips the
+    /// one and decodes the other in place.
     #[test]
     fn composite_key_roundtrip() {
         let d = DeweyId::from([7, 0, 130, 2]);
-        let (term, dewey) = split_composite_key(&composite_key(900, &d)).unwrap();
-        assert_eq!((term, dewey), (900, d));
+        let key = composite_key(900, &d);
+        let (term, n) = codec::read_component(&key).unwrap();
+        assert_eq!((term, codec::decode_id(&key[n..]).unwrap()), (900, d));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! equivalent to per-term trees with perfect page sharing.
 
 use crate::listio::{self, ListInfo, ListMeta, ListReader, PostingCodec};
-use crate::posting::{self, Posting};
+use crate::posting::{self, Posting, PostingRun};
 use crate::SpaceBreakdown;
 use xrank_dewey::{codec, DeweyId};
 use xrank_graph::TermId;
@@ -115,32 +115,13 @@ impl RdilIndex {
     /// Opens a stateful probe cursor for `term` — the hot-path form of
     /// [`RdilIndex::lowest_geq`]. One cursor per keyword, held across all
     /// TA rounds, turns the ~monotone probe sequence of Figure 7 into
-    /// forward seeks on a pinned leaf instead of a root descent each.
+    /// forward seeks on a pinned leaf instead of a root descent each, and
+    /// starts the keyword's range scans from the same pinned leaf.
     pub fn probe_cursor(&self, term: TermId) -> RdilProbeCursor {
         let mut term_key = Vec::new();
         codec::write_component(term.0, &mut term_key);
-        RdilProbeCursor { term_key, key: Vec::new(), cursor: self.tree.cursor(), decoded: 0 }
-    }
-
-    /// All postings of `term` whose Dewey has `prefix` as a prefix — the
-    /// "range scan over btree[i]" of Figure 7 line 19.
-    pub fn prefix_postings<S: PageStore>(
-        &self,
-        pool: &BufferPool<S>,
-        term: TermId,
-        prefix: &DeweyId,
-    ) -> StorageResult<Vec<Posting>> {
-        let low = posting::composite_key(term.0, prefix);
-        let high = match prefix.subtree_upper_bound() {
-            Some(ub) => posting::composite_key(term.0, &ub),
-            None => posting::composite_key(term.0 + 1, &DeweyId::default()),
-        };
-        Ok(self
-            .tree
-            .range(pool, &low, &high)?
-            .into_iter()
-            .filter_map(|e| decode_tree_entry(term, &e.key, &e.value))
-            .collect())
+        let key = term_key.clone();
+        RdilProbeCursor { term_key, key, cursor: self.tree.cursor(), decoded: 0 }
     }
 
     /// Serializes the index directory.
@@ -190,46 +171,55 @@ impl RdilIndex {
 /// A per-keyword stateful probe cursor over the composite B+-tree: a
 /// [`TreeCursor`] whose answers are restricted to one term's key space.
 /// Serves the TA loop's advancing probes from the pinned leaf instead of
-/// re-descending from the root. An answer is the Dewey ID decoded from the
-/// entry's key, read in place on the pinned leaf; the payload (rank and
-/// positions) is never decoded — Figure 7 reads only the common prefix.
+/// re-descending from the root, and reads the answers there: a probe
+/// compares the encoded Dewey suffix of each answering key with the
+/// target's, component by component, and decodes no ID; the payload (rank
+/// and positions) is read only by the range scans.
 #[derive(Debug, Clone)]
 pub struct RdilProbeCursor {
     /// The term's composite-key prefix (its ordered-varint id). The code
     /// is prefix-free, so a key starts with it exactly when it is `term`'s.
     term_key: Vec<u8>,
-    /// Reused probe-key buffer: `term_key` then the target's encoding.
+    /// Reused seek-key buffer: `term_key`, then the target's encoding.
     key: Vec<u8>,
     cursor: TreeCursor,
     decoded: u64,
 }
 
 impl RdilProbeCursor {
-    /// Seek-forward / re-descent counters since the cursor was opened.
+    /// Seek-forward / re-descent counters since the cursor was opened
+    /// (range scans count one seek each).
     pub fn stats(&self) -> CursorStats {
         self.cursor.stats()
     }
 
-    /// Tree keys decoded into Dewey IDs by the probes so far (the leaf
-    /// search itself compares encoded keys and decodes nothing).
+    /// The term's answering keys the probes so far read (the leaf search
+    /// itself compares encoded keys and reads none).
     pub fn postings_decoded(&self) -> u64 {
         self.decoded
     }
 
-    /// The smallest Dewey ID ≥ `target` in the term's list, and its
-    /// predecessor; `None` past either end of the term's key space.
-    pub fn lowest_geq<S: PageStore>(
+    /// Points the seek key at `target` within the term's key space.
+    fn seek_key(&mut self, target: &DeweyId) {
+        self.key.truncate(self.term_key.len());
+        codec::encode_id_into(target, &mut self.key);
+    }
+
+    /// One seek for `target`, reading the Dewey suffix of the answer and
+    /// of its predecessor with `read(suffix, target's encoding)` while the
+    /// leaf is pinned; `None` for an answer outside the term's key space.
+    fn probe<S: PageStore, T>(
         &mut self,
         pool: &BufferPool<S>,
         target: &DeweyId,
-    ) -> StorageResult<(Option<DeweyId>, Option<DeweyId>)> {
-        self.key.clear();
-        self.key.extend_from_slice(&self.term_key);
-        codec::encode_id_into(target, &mut self.key);
-        let term_key = self.term_key.as_slice();
-        let (entry, pred) = self.cursor.seek_geq_by(pool, &self.key, |leaf, loc| {
+        read: impl Fn(&[u8], &[u8]) -> Result<T, codec::DecodeError>,
+    ) -> StorageResult<(Option<T>, Option<T>)> {
+        self.seek_key(target);
+        let (term_key, key) = (self.term_key.as_slice(), self.key.as_slice());
+        let target = &key[term_key.len()..];
+        let (entry, pred) = self.cursor.seek_geq_by(pool, key, |leaf, loc| {
             match leaf.key(loc.slot as usize)?.strip_prefix(term_key) {
-                Some(dewey) => codec::decode_id(dewey)
+                Some(dewey) => read(dewey, target)
                     .map(Some)
                     .map_err(|e| StorageError::corrupt(format!("RDIL tree key: {e}"))),
                 None => Ok(None),
@@ -239,21 +229,71 @@ impl RdilProbeCursor {
         self.decoded += entry.is_some() as u64 + pred.is_some() as u64;
         Ok((entry, pred))
     }
-}
 
-fn decode_tree_entry(term: TermId, key: &[u8], value: &[u8]) -> Option<Posting> {
-    let (entry_term, dewey) = posting::split_composite_key(key).ok()?;
-    if entry_term != term.0 {
-        return None;
+    /// The Figure 7 probe, reduced to the one number it reads: how many
+    /// leading components `target` shares with the smallest Dewey ID
+    /// `>= target` in the term's list or with that entry's predecessor,
+    /// whichever shares more (Section 4.3.2: one of the two shares the
+    /// longest prefix). An answer outside the term's key space shares
+    /// nothing. Computed on the pinned leaf from the encoded keys; a key
+    /// that does not decode is [`StorageError::Corrupt`].
+    pub fn kept_prefix<S: PageStore>(
+        &mut self,
+        pool: &BufferPool<S>,
+        target: &DeweyId,
+    ) -> StorageResult<usize> {
+        let (entry, pred) = self.probe(pool, target, codec::common_prefix_len)?;
+        Ok(entry.unwrap_or(0).max(pred.unwrap_or(0)))
     }
-    let (rank, positions, _) = posting::decode_payload(value).ok()?;
-    Some(Posting { elem: 0, dewey, rank, positions })
+
+    /// The smallest Dewey ID ≥ `target` in the term's list, and its
+    /// predecessor; `None` past either end of the term's key space. The
+    /// decoded form of [`RdilProbeCursor::kept_prefix`], kept as its
+    /// oracle.
+    pub fn lowest_geq<S: PageStore>(
+        &mut self,
+        pool: &BufferPool<S>,
+        target: &DeweyId,
+    ) -> StorageResult<(Option<DeweyId>, Option<DeweyId>)> {
+        self.probe(pool, target, |dewey, _| codec::decode_id(dewey))
+    }
+
+    /// The "range scan over btree[i]" of Figure 7 line 19: every posting
+    /// of the term whose Dewey ID has `prefix` as a prefix, in Dewey order,
+    /// decoded into `out`'s kept slots. A walk from the cursor — no root
+    /// descent when the subtree starts near the pinned leaf — that stops
+    /// at the first key outside the subtree: the Dewey code is prefix-free
+    /// per component, so a key lies in the subtree exactly when its bytes
+    /// start with the prefix's. Returns the entries decoded.
+    pub fn scan_prefix<S: PageStore>(
+        &mut self,
+        pool: &BufferPool<S>,
+        prefix: &DeweyId,
+        out: &mut PostingRun,
+    ) -> StorageResult<u64> {
+        self.seek_key(prefix);
+        out.clear();
+        let (low, dewey_at) = (self.key.as_slice(), self.term_key.len());
+        let bad = |e| StorageError::corrupt(format!("RDIL tree entry: {e}"));
+        self.cursor.walk_from(pool, low, |key, value| {
+            if !key.starts_with(low) {
+                return Ok(false);
+            }
+            let p = out.push_slot();
+            codec::decode_id_into(&key[dewey_at..], p.dewey.components_mut()).map_err(bad)?;
+            p.rank = posting::decode_payload_into(value, &mut p.positions).map_err(bad)?.0;
+            p.elem = 0;
+            Ok(true)
+        })?;
+        Ok(out.as_slice().len() as u64)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::extract::direct_postings;
+    use proptest::prelude::*;
     use xrank_graph::CollectionBuilder;
     use xrank_storage::MemStore;
 
@@ -323,18 +363,176 @@ mod tests {
     }
 
     #[test]
-    fn prefix_postings_scans_subtrees() {
+    fn scan_prefix_scans_subtrees() {
         let (pool, idx, c) = build();
         let term = c.vocabulary().lookup("ricardo").unwrap();
+        let mut cur = idx.probe_cursor(term);
+        let mut out = PostingRun::default();
         // Whole document prefix: both occurrences.
-        let all = idx.prefix_postings(&pool, term, &DeweyId::from([0])).unwrap();
+        assert_eq!(cur.scan_prefix(&pool, &DeweyId::from([0]), &mut out).unwrap(), 2);
+        let all = out.as_slice().to_vec();
         assert_eq!(all.len(), 2);
-        // First paper subtree only.
-        let first_paper = idx.prefix_postings(&pool, term, &DeweyId::from([0, 0, 0])).unwrap();
-        assert_eq!(first_paper.len(), 1);
+        assert!(all.iter().all(|p| p.positions.len() == 1 && p.rank > 0.0), "{all:?}");
+        // First paper subtree only, into the same slots.
+        cur.scan_prefix(&pool, &DeweyId::from([0, 0, 0]), &mut out).unwrap();
+        assert_eq!(out.as_slice(), &all[..1]);
         // Foreign subtree: nothing.
-        let none = idx.prefix_postings(&pool, term, &DeweyId::from([1])).unwrap();
-        assert!(none.is_empty());
+        assert_eq!(cur.scan_prefix(&pool, &DeweyId::from([1]), &mut out).unwrap(), 0);
+        assert!(out.as_slice().is_empty());
+    }
+
+    /// A Dewey-sorted list of term 1 between two fence terms 0 and 2, in a
+    /// composite tree with small leaves, so the list spans several and the
+    /// neighbours sit on its first and last leaf.
+    fn fenced(list: &[DeweyId]) -> (BufferPool<MemStore>, RdilIndex) {
+        let postings = |ids: &[DeweyId]| -> Vec<Posting> {
+            ids.iter()
+                .enumerate()
+                .map(|(i, d)| Posting {
+                    elem: 0,
+                    dewey: d.clone(),
+                    rank: 1.0 / (i + 1) as f32,
+                    positions: vec![i as u32, i as u32 + 3],
+                })
+                .collect()
+        };
+        let fence = [DeweyId::from([0]), DeweyId::from([3, 3]), DeweyId::from([9, 9, 9])];
+        let mut pool = BufferPool::new(MemStore::new(), 256);
+        let rdil = RdilIndex::build_with(
+            &mut pool,
+            &[postings(&fence), postings(list), postings(&fence)],
+            256,
+        )
+        .unwrap();
+        (pool, rdil)
+    }
+
+    /// A probe target, resolved against the generated list.
+    #[derive(Debug, Clone)]
+    enum Target {
+        /// The `i % len`-th posting itself: the top of the gap below it.
+        Posting(usize),
+        /// Below the first posting.
+        BelowFirst,
+        /// Past the last posting.
+        PastLast,
+        /// Anywhere in (and around) the list's ID space.
+        Any(DeweyId),
+    }
+
+    fn target() -> impl Strategy<Value = Target> {
+        prop_oneof![
+            3 => (0usize..1000).prop_map(Target::Posting),
+            1 => Just(Target::BelowFirst),
+            1 => Just(Target::PastLast),
+            4 => proptest::collection::vec(0u32..6, 0..5)
+                .prop_map(|c| Target::Any(DeweyId::from_components(c))),
+        ]
+    }
+
+    fn resolve(t: &Target, list: &[DeweyId]) -> DeweyId {
+        match (t, list.first(), list.last()) {
+            (Target::Posting(i), Some(_), _) => list[i % list.len()].clone(),
+            (Target::BelowFirst, Some(first), _) => first.prefix(first.len() - 1),
+            (Target::PastLast, _, Some(last)) => last.child(0),
+            (Target::Any(d), _, _) => d.clone(),
+            _ => DeweyId::from([1]),
+        }
+    }
+
+    fn dewey_list() -> impl Strategy<Value = Vec<DeweyId>> {
+        proptest::collection::btree_set(
+            proptest::collection::vec(0u32..6, 1..5).prop_map(DeweyId::from_components),
+            0..120,
+        )
+        .prop_map(|ids| ids.into_iter().collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The prefix length a probe reads in place on the leaf is the one
+        /// computed from the decoded answers of a fresh cursor — gap tops,
+        /// targets below the first posting and past the last included, and
+        /// the fence terms' keys on the list's first and last leaf never
+        /// leak in. Range scans from the same cursor, interleaved, return
+        /// the list's subtree under each target with payloads intact.
+        #[test]
+        fn kept_prefix_equals_decoded_prefix(
+            list in dewey_list(),
+            targets in proptest::collection::vec(target(), 1..60),
+        ) {
+            let (pool, rdil) = fenced(&list);
+            let term = TermId(1);
+            let mut cursor = rdil.probe_cursor(term);
+            let mut run = PostingRun::default();
+            for (i, t) in targets.iter().enumerate() {
+                let target = resolve(t, &list);
+                let (entry, pred) = rdil.probe_cursor(term).lowest_geq(&pool, &target).unwrap();
+                let via = |id: Option<DeweyId>| id.map_or(0, |id| id.common_prefix_len(&target));
+                let expect = via(entry).max(via(pred));
+                prop_assert_eq!(cursor.kept_prefix(&pool, &target).unwrap(), expect, "at {}", target);
+                if i % 3 == 0 {
+                    cursor.scan_prefix(&pool, &target, &mut run).unwrap();
+                    let under: Vec<&DeweyId> =
+                        list.iter().filter(|d| target.is_ancestor_or_self_of(d)).collect();
+                    let got: Vec<&DeweyId> = run.as_slice().iter().map(|p| &p.dewey).collect();
+                    prop_assert_eq!(got, under, "scan under {}", target);
+                    for p in run.as_slice() {
+                        let at = list.binary_search(&p.dewey).unwrap();
+                        prop_assert_eq!(&p.positions, &vec![at as u32, at as u32 + 3]);
+                        prop_assert_eq!(p.rank, 1.0 / (at + 1) as f32);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A flipped byte in a tree key reaches the probe as `Corrupt`, never
+    /// as a panic or a silently wrong prefix length.
+    #[test]
+    fn damaged_tree_key_is_corrupt_through_kept_prefix() {
+        let list: Vec<DeweyId> =
+            (0..200u32).map(|i| DeweyId::from([1 + i / 40, 0, i % 40, 2])).collect();
+        let (mut pool, rdil) = fenced(&list);
+        let term = TermId(1);
+        // The leaf and slot of term 1's last key; every byte of its Dewey
+        // suffix is a one-byte component, so 0xFF there is no valid tag.
+        let mut term_key = Vec::new();
+        codec::write_component(term.0, &mut term_key);
+        let (leaf, slot) = (0..rdil.tree.leaf_count)
+            .flat_map(|leaf| {
+                let view = rdil.tree.leaf_view(&pool, leaf).unwrap();
+                (0..view.len())
+                    .filter(|&s| view.key(s).unwrap().starts_with(&term_key))
+                    .map(|s| (leaf, s))
+                    .collect::<Vec<_>>()
+            })
+            .last()
+            .unwrap();
+        let id = xrank_storage::PageId::new(rdil.tree.segment, leaf);
+        let mut page = pool.read(id).unwrap().to_vec();
+        let start = u16::from_le_bytes([page[2 * slot], page[2 * slot + 1]]) as usize;
+        let klen = u16::from_le_bytes([page[start], page[start + 1]]) as usize;
+        page[start + 2 + klen - 1] = 0xFF;
+        pool.write_page(id, &page).unwrap();
+
+        let last = list.last().unwrap();
+        let corrupt = |r: StorageResult<usize>| matches!(r, Err(StorageError::Corrupt { .. }));
+        // Answered by the damaged key as the entry (the first two targets)
+        // and as the predecessor (the third).
+        for target in [last.clone(), last.child(0), DeweyId::from([99])] {
+            assert!(corrupt(rdil.probe_cursor(term).kept_prefix(&pool, &target)), "at {target}");
+            assert!(corrupt(rdil.probe_cursor(term).lowest_geq(&pool, &target).map(|_| 0)));
+        }
+        let mut run = PostingRun::default();
+        assert!(matches!(
+            rdil.probe_cursor(term).scan_prefix(&pool, &DeweyId::from([5]), &mut run),
+            Err(StorageError::Corrupt { .. })
+        ));
+        // Keys away from the damage still answer.
+        let first = &list[0];
+        assert_eq!(rdil.probe_cursor(term).kept_prefix(&pool, first).unwrap(), first.len());
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub enum Stage {
     TaRound,
     /// A B+-tree longest-common-prefix probe (`lowest_geq`).
     BtreeProbe,
-    /// A probe answered from the per-term memo table (no tree access).
+    /// A probe answered from the per-term gap memo (no list access; HDIL).
     ProbeMemoHit,
     /// A probe served by a cursor seeking forward from its pinned leaf.
     CursorSeek,

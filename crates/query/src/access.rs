@@ -4,12 +4,12 @@
 use xrank_dewey::DeweyId;
 use xrank_graph::TermId;
 use xrank_index::listio::ListReader;
-use xrank_index::posting::Posting;
+use xrank_index::posting::PostingRun;
 use xrank_index::{HdilIndex, HdilProbeCursor, RdilIndex, RdilProbeCursor};
 use xrank_storage::{BufferPool, CursorStats, PageStore, StorageResult};
 
-/// A stateful `lowest_geq` probe handle for one keyword — the only way
-/// the Figure 7 TA loop probes an index.
+/// A stateful probe handle for one keyword — the only way the Figure 7 TA
+/// loop probes an index.
 ///
 /// A cursor pins its current leaf (RDIL) or page (HDIL) and serves
 /// targets near its last position without re-descending from the root.
@@ -18,14 +18,17 @@ use xrank_storage::{BufferPool, CursorStats, PageStore, StorageResult};
 /// bounded leaf walk instead of a full descent. Answers are identical to
 /// a fresh cursor's for *every* target.
 pub trait ProbeCursor<S: PageStore> {
-    /// The Section 4.3.2 probe, served statefully: the smallest Dewey ID
-    /// `>= target` in the keyword's list, and its predecessor. Only the
-    /// IDs: Figure 7 reads nothing but their common prefix with `target`.
-    fn lowest_geq(
-        &mut self,
-        pool: &BufferPool<S>,
-        target: &DeweyId,
-    ) -> StorageResult<(Option<DeweyId>, Option<DeweyId>)>;
+    /// The Section 4.3.2 probe, reduced to the one number Figure 7 reads:
+    /// how many leading components `target` shares with the smallest
+    /// Dewey ID `>= target` in the keyword's list or with that ID's
+    /// predecessor, whichever shares more (0 past either end).
+    fn kept_prefix(&mut self, pool: &BufferPool<S>, target: &DeweyId) -> StorageResult<usize>;
+
+    /// The same number without a probe, when an earlier probe's answer
+    /// already certifies it (HDIL's gap memo); `None` means "probe".
+    fn remembered(&self, _target: &DeweyId) -> Option<usize> {
+        None
+    }
 
     /// Probe counters so far
     /// (`probes = seeks_forward + seeks_backward + descents`).
@@ -36,12 +39,8 @@ pub trait ProbeCursor<S: PageStore> {
 }
 
 impl<S: PageStore> ProbeCursor<S> for RdilProbeCursor {
-    fn lowest_geq(
-        &mut self,
-        pool: &BufferPool<S>,
-        target: &DeweyId,
-    ) -> StorageResult<(Option<DeweyId>, Option<DeweyId>)> {
-        RdilProbeCursor::lowest_geq(self, pool, target)
+    fn kept_prefix(&mut self, pool: &BufferPool<S>, target: &DeweyId) -> StorageResult<usize> {
+        RdilProbeCursor::kept_prefix(self, pool, target)
     }
 
     fn stats(&self) -> CursorStats {
@@ -54,12 +53,12 @@ impl<S: PageStore> ProbeCursor<S> for RdilProbeCursor {
 }
 
 impl<S: PageStore> ProbeCursor<S> for HdilProbeCursor {
-    fn lowest_geq(
-        &mut self,
-        pool: &BufferPool<S>,
-        target: &DeweyId,
-    ) -> StorageResult<(Option<DeweyId>, Option<DeweyId>)> {
-        HdilProbeCursor::lowest_geq(self, pool, target)
+    fn kept_prefix(&mut self, pool: &BufferPool<S>, target: &DeweyId) -> StorageResult<usize> {
+        HdilProbeCursor::kept_prefix(self, pool, target)
+    }
+
+    fn remembered(&self, target: &DeweyId) -> Option<usize> {
+        HdilProbeCursor::remembered(self, target)
     }
 
     fn stats(&self) -> CursorStats {
@@ -124,14 +123,18 @@ pub trait RankedAccess<S: PageStore> {
     /// Pages in the full Dewey list of `term` (DIL cost estimate).
     fn full_list_pages(&self, term: TermId) -> u32;
 
-    /// Range scan: all postings of `term` under `prefix`, and the number
-    /// of entries decoded to produce them.
-    fn prefix_postings(
+    /// Range scan (Figure 7 line 19): every posting of `term` under
+    /// `prefix`, in Dewey order, into `out`; returns the entries decoded
+    /// to produce them. `cursor` is `term`'s probe cursor, which RDIL
+    /// starts the scan from.
+    fn scan_prefix(
         &self,
         pool: &BufferPool<S>,
+        cursor: &mut Self::Cursor,
         term: TermId,
         prefix: &DeweyId,
-    ) -> StorageResult<(Vec<Posting>, u64)>;
+        out: &mut PostingRun,
+    ) -> StorageResult<u64>;
 }
 
 impl<S: PageStore> RankedAccess<S> for RdilIndex {
@@ -157,16 +160,17 @@ impl<S: PageStore> RankedAccess<S> for RdilIndex {
         self.meta(term).map_or(0, |m| m.page_count)
     }
 
-    fn prefix_postings(
+    fn scan_prefix(
         &self,
         pool: &BufferPool<S>,
-        term: TermId,
+        cursor: &mut RdilProbeCursor,
+        _term: TermId,
         prefix: &DeweyId,
-    ) -> StorageResult<(Vec<Posting>, u64)> {
-        // A B+-tree range scan decodes exactly the entries in range.
-        let postings = RdilIndex::prefix_postings(self, pool, term, prefix)?;
-        let decoded = postings.len() as u64;
-        Ok((postings, decoded))
+        out: &mut PostingRun,
+    ) -> StorageResult<u64> {
+        // A walk from the keyword's cursor decodes exactly the entries in
+        // range.
+        cursor.scan_prefix(pool, prefix, out)
     }
 }
 
@@ -193,12 +197,17 @@ impl<S: PageStore> RankedAccess<S> for HdilIndex {
         self.meta(term).map_or(0, |m| m.page_count)
     }
 
-    fn prefix_postings(
+    fn scan_prefix(
         &self,
         pool: &BufferPool<S>,
+        _cursor: &mut HdilProbeCursor,
         term: TermId,
         prefix: &DeweyId,
-    ) -> StorageResult<(Vec<Posting>, u64)> {
-        HdilIndex::prefix_postings(self, pool, term, prefix)
+        out: &mut PostingRun,
+    ) -> StorageResult<u64> {
+        // The skip-table block scan, not a tree walk: HDIL stores no tree.
+        let (postings, decoded) = HdilIndex::prefix_postings(self, pool, term, prefix)?;
+        out.set(postings);
+        Ok(decoded)
     }
 }

@@ -227,8 +227,9 @@ pub struct EvalStats {
     /// cached; `btree_probes = probe_memo_hits + cursor_seeks +
     /// cursor_seeks_back + cursor_descents` on the cursor-driven path).
     pub btree_probes: u64,
-    /// Probes answered from the per-term memo table without touching the
-    /// tree at all.
+    /// Probes answered from the per-term gap memo without touching the
+    /// list at all (HDIL, whose probe is a block scan; an RDIL probe on
+    /// its pinned leaf costs less than a memo lookup, so RDIL keeps none).
     pub probe_memo_hits: u64,
     /// Probes served by a stateful cursor seeking forward from its pinned
     /// leaf (no root re-descent).

@@ -2,9 +2,10 @@
 //!
 //! Rank-sorted lists are consumed round-robin; for each consumed entry the
 //! longest common prefix that contains all query keywords is found by
-//! B+-tree probes (`lowest_geq` + predecessor, Section 4.3.2); the prefix
-//! is scored by range scans that *exclude sub-elements already containing
-//! all keywords* (Figure 7 line 20, matching the Section 2.2 semantics);
+//! B+-tree probes (`lowest_geq` + predecessor, Section 4.3.2, each answered
+//! as the prefix length it keeps); the prefix is scored by range scans
+//! that *exclude sub-elements already containing all keywords* (Figure 7
+//! line 20, matching the Section 2.2 semantics);
 //! and the provably-safe Threshold Algorithm stopping condition ends the
 //! scan early ("since we only overestimate the threshold, the top m
 //! results are still guaranteed to be optimal").
@@ -16,66 +17,13 @@ use crate::access::{ProbeCursor, RankedAccess};
 use crate::dil_query::occurrence_rank;
 use crate::score::{Aggregation, QueryOptions, TopM};
 use crate::{EvalGuard, EvalStats, QueryError, QueryOutcome};
-use std::collections::{BTreeMap, HashSet};
-use std::ops::Bound::{Included, Unbounded};
+use std::collections::HashSet;
 use xrank_dewey::DeweyId;
 use xrank_obs::{EventData, QueryTrace, Stage};
 use xrank_graph::TermId;
 use xrank_index::listio::ListReader;
-use xrank_index::posting::Posting;
+use xrank_index::posting::{Posting, PostingRun};
 use xrank_storage::{BufferPool, PageStore};
-
-/// Per-keyword memo of `lowest_geq` answers, keyed by the *gap* each
-/// answer proves empty: a probe returning `(entry, pred)` certifies the
-/// keyword's list holds no posting inside the interval `(pred, entry)`,
-/// so any later target in `(pred, entry]` has the identical answer — the
-/// index is immutable for the life of the query. Rank-ordered list
-/// consumption makes probe targets jump around Dewey space; gap keying
-/// turns every pair of targets that land between the same two adjacent
-/// postings into one tree access plus a free lookup, where an
-/// exact-target memo would miss.
-#[derive(Default)]
-struct ProbeMemo {
-    /// Answering entry → its predecessor: the gap `(pred, entry]`.
-    gaps: BTreeMap<DeweyId, Option<DeweyId>>,
-    /// The predecessor of a past-the-end answer (no entry ≥ the target):
-    /// the gap `(pred, ∞)`, unbounded below when the inner `Option` is
-    /// `None` (an empty list).
-    past_end: Option<Option<DeweyId>>,
-}
-
-impl ProbeMemo {
-    /// The memoized `(entry, pred)` covering `target`, if some earlier
-    /// probe's gap contains it (`pred < target <= entry`, with open ends
-    /// at `None`). Every recorded entry is a posting, so a target above
-    /// all of them can only be in the past-the-end gap.
-    fn lookup(&self, target: &DeweyId) -> Option<(Option<&DeweyId>, Option<&DeweyId>)> {
-        let above = self.gaps.range::<DeweyId, _>((Included(target), Unbounded)).next();
-        let (entry, pred) = match above {
-            Some((entry, pred)) => (Some(entry), pred.as_ref()),
-            None => (None, self.past_end.as_ref()?.as_ref()),
-        };
-        pred.is_none_or(|p| target > p).then_some((entry, pred))
-    }
-
-    /// Records a fresh probe answer under the gap it certifies empty.
-    fn insert(&mut self, (entry, pred): (Option<DeweyId>, Option<DeweyId>)) {
-        match entry {
-            Some(entry) => {
-                self.gaps.insert(entry, pred);
-            }
-            None => self.past_end = Some(pred),
-        }
-    }
-}
-
-/// How many leading components of `lcp` a probe answer keeps: the longer
-/// common prefix through the entry or its predecessor (Section 4.3.2:
-/// one of the two shares the longest prefix with the target).
-fn kept_prefix(lcp: &DeweyId, entry: Option<&DeweyId>, pred: Option<&DeweyId>) -> usize {
-    let via = |id: Option<&DeweyId>| id.map_or(0, |id| id.common_prefix_len(lcp));
-    via(entry).max(via(pred))
-}
 
 /// What one [`RdilRun::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,10 +51,14 @@ pub struct RdilRun<'a, S: PageStore, A: RankedAccess<S>> {
     readers: Vec<ListReader>,
     /// One stateful probe cursor per keyword, held across all TA rounds.
     /// When consecutive targets creep forward in Dewey order the seek is a
-    /// bounded forward leaf walk, not a root re-descent.
+    /// bounded forward leaf walk, not a root re-descent; the keyword's
+    /// range scans start from the same cursor.
     cursors: Vec<A::Cursor>,
-    /// Per-keyword memo of probe answers (see [`ProbeMemo`]).
-    memo: Vec<ProbeMemo>,
+    /// The candidate of the current step: the consumed entry's ID, cut
+    /// down by each probe in place. Cloned only into `seen` and the heap.
+    lcp: DeweyId,
+    /// One reused posting run per keyword for the range scans.
+    scans: Vec<PostingRun>,
     /// ElemRank of the last entry consumed from each list (threshold term).
     frontier: Vec<f64>,
     heap: TopM,
@@ -159,7 +111,6 @@ impl<'a, S: PageStore, A: RankedAccess<S>> RdilRun<'a, S, A> {
         }
         drop(open_span);
         let cursors = terms.iter().map(|&t| access.probe_cursor(t)).collect();
-        let memo = terms.iter().map(|_| ProbeMemo::default()).collect();
         Ok(RdilRun {
             access,
             trace,
@@ -167,7 +118,8 @@ impl<'a, S: PageStore, A: RankedAccess<S>> RdilRun<'a, S, A> {
             opts: opts.clone(),
             readers,
             cursors,
-            memo,
+            lcp: DeweyId::default(),
+            scans: terms.iter().map(|_| PostingRun::default()).collect(),
             frontier,
             heap: TopM::new(opts.top_m),
             result_scores: Vec::new(),
@@ -259,40 +211,42 @@ impl<'a, S: PageStore, A: RankedAccess<S>> RdilRun<'a, S, A> {
         };
         self.next_list = (il + 1) % n;
 
-        // The count-based pick says the list still has entries, so `next`
-        // cannot be `None`.
-        let Some(current) = self.readers[il].next(pool)? else {
+        // The count-based pick says the list still has entries, so `pop`
+        // cannot be `None`. The entry is read in place: only its rank and
+        // (into the reused `lcp`) its ID leave the reader.
+        let Some(current) = self.readers[il].pop(pool)? else {
             self.done = true;
             return Ok(StepOutcome::Done);
         };
+        let rank = current.rank as f64;
+        self.lcp.clone_from(&current.dewey);
         self.stats.entries_scanned += 1;
         self.frontier[il] = if !self.readers[il].at_end() {
-            current.rank as f64
+            rank
         } else if self.access.rank_lists_complete() {
             // List fully consumed: nothing below can contribute.
             0.0
         } else {
-            current.rank as f64
+            rank
         };
 
         // Lines 11-16: shrink the lcp through each other keyword's B+-tree.
-        let mut lcp = current.dewey.clone();
         let mut dead = false;
         for j in 0..n {
             if j == il {
                 continue;
             }
             self.stats.btree_probes += 1;
-            let keep = match self.memo[j].lookup(&lcp) {
-                Some((entry, pred)) => {
+            let keep = match self.cursors[j].remembered(&self.lcp) {
+                Some(keep) => {
                     self.stats.probe_memo_hits += 1;
                     self.trace.bump(Stage::ProbeMemoHit);
-                    kept_prefix(&lcp, entry, pred)
+                    keep
                 }
                 None => {
                     let before = self.cursors[j].stats();
                     let probe_span = self.trace.span(Stage::BtreeProbe);
-                    let (entry, pred) = self.cursors[j].lowest_geq(pool, &lcp)?;
+                    let keep = self.cursors[j].kept_prefix(pool, &self.lcp)?;
                     drop(probe_span);
                     // One seek is exactly one forward walk, one backward
                     // walk, or one descent.
@@ -307,8 +261,6 @@ impl<'a, S: PageStore, A: RankedAccess<S>> RdilRun<'a, S, A> {
                         self.stats.cursor_seeks += 1;
                         self.trace.bump(Stage::CursorSeek);
                     }
-                    let keep = kept_prefix(&lcp, entry.as_ref(), pred.as_ref());
-                    self.memo[j].insert((entry, pred));
                     keep
                 }
             };
@@ -318,21 +270,13 @@ impl<'a, S: PageStore, A: RankedAccess<S>> RdilRun<'a, S, A> {
                 dead = true;
                 break;
             }
-            lcp = lcp.prefix(keep);
+            self.lcp.truncate(keep);
         }
 
-        if !dead && !self.seen.contains(&lcp) {
-            self.seen.insert(lcp.clone());
-            if let Some(score) = score_candidate(
-                pool,
-                self.access,
-                &self.terms,
-                &lcp,
-                &self.opts,
-                &mut self.stats,
-                self.trace,
-            )? {
-                self.heap.offer(lcp, score);
+        if !dead && !self.seen.contains(&self.lcp) {
+            self.seen.insert(self.lcp.clone());
+            if let Some(score) = self.score_candidate(pool)? {
+                self.heap.offer_with(score, || self.lcp.clone());
                 let at = self.result_scores.partition_point(|&s| s < score);
                 self.result_scores.insert(at, score);
             }
@@ -364,6 +308,74 @@ impl<'a, S: PageStore, A: RankedAccess<S>> RdilRun<'a, S, A> {
         Ok(StepOutcome::Continue)
     }
 
+    /// Figure 7 lines 17-24: score `lcp` as a candidate result. Range-scans
+    /// each keyword's postings under `lcp`, drops occurrences inside child
+    /// subtrees that contain all keywords (they are more specific results
+    /// themselves), and requires every keyword to retain at least one
+    /// relevant occurrence.
+    fn score_candidate(&mut self, pool: &BufferPool<S>) -> Result<Option<f64>, QueryError> {
+        let (lcp, opts, n) = (&self.lcp, &self.opts, self.terms.len());
+        let scan_span = self.trace.span(Stage::RangeScan);
+        for ((&t, cursor), run) in self.terms.iter().zip(&mut self.cursors).zip(&mut self.scans) {
+            self.stats.range_scans += 1;
+            self.stats.postings_decoded += self.access.scan_prefix(pool, cursor, t, lcp, run)?;
+        }
+        drop(scan_span);
+        let per_kw: Vec<&[Posting]> = self.scans.iter().map(PostingRun::as_slice).collect();
+
+        // Which direct children of lcp contain all keywords? A range scan
+        // returns its postings in Dewey order, so each keyword's child
+        // components under lcp come out ascending: keep one de-duplicated run
+        // per keyword and intersect the runs in one forward merge.
+        let depth = lcp.len();
+        let mut runs = per_kw.iter().map(|list| {
+            let mut run: Vec<u32> = Vec::new();
+            for c in list.iter().filter_map(|p| p.dewey.components().get(depth)) {
+                if run.last() != Some(c) {
+                    run.push(*c);
+                }
+            }
+            run
+        });
+        let mut complete = runs.next().unwrap_or_default();
+        let rest: Vec<Vec<u32>> = runs.collect();
+        let mut at = vec![0usize; rest.len()];
+        complete.retain(|&c| {
+            rest.iter().zip(at.iter_mut()).all(|(run, i)| {
+                while run.get(*i).is_some_and(|&x| x < c) {
+                    *i += 1;
+                }
+                run.get(*i) == Some(&c)
+            })
+        });
+
+        // Aggregate relevant occurrences per keyword.
+        let mut ranks = vec![0.0f64; n];
+        let mut pos_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (i, list) in per_kw.iter().enumerate() {
+            for p in list.iter() {
+                let relevant = match p.dewey.components().get(depth) {
+                    None => true, // direct value occurrence
+                    Some(c) => complete.binary_search(c).is_err(),
+                };
+                if !relevant {
+                    continue;
+                }
+                let levels = (p.dewey.len() - depth) as i32;
+                let contribution = occurrence_rank(p, opts) * opts.decay.powi(levels);
+                ranks[i] = opts.aggregation.combine(ranks[i], contribution);
+                pos_lists[i].extend_from_slice(&p.positions);
+            }
+            if pos_lists[i].is_empty() {
+                // Keyword has no relevant occurrence → not a result.
+                return Ok(None);
+            }
+            pos_lists[i].sort_unstable();
+        }
+        let refs: Vec<&[u32]> = pos_lists.iter().map(|l| l.as_slice()).collect();
+        Ok(Some(opts.overall_rank(&ranks, &refs)))
+    }
+
     /// Runs to completion (RDIL use; HDIL drives `step` itself).
     pub fn run_to_end(&mut self, pool: &BufferPool<S>) -> Result<StepOutcome, QueryError> {
         loop {
@@ -385,84 +397,6 @@ impl<'a, S: PageStore, A: RankedAccess<S>> RdilRun<'a, S, A> {
             degraded: self.guard.degraded(),
         }
     }
-}
-
-/// Figure 7 lines 17-24: score `lcp` as a candidate result. Range-scans
-/// each keyword's postings under `lcp`, drops occurrences inside child
-/// subtrees that contain all keywords (they are more specific results
-/// themselves), and requires every keyword to retain at least one relevant
-/// occurrence.
-pub(crate) fn score_candidate<S: PageStore, A: RankedAccess<S>>(
-    pool: &BufferPool<S>,
-    access: &A,
-    terms: &[TermId],
-    lcp: &DeweyId,
-    opts: &QueryOptions,
-    stats: &mut EvalStats,
-    trace: &QueryTrace,
-) -> Result<Option<f64>, QueryError> {
-    let n = terms.len();
-    let scan_span = trace.span(Stage::RangeScan);
-    let mut per_kw: Vec<Vec<Posting>> = Vec::with_capacity(n);
-    for &t in terms {
-        stats.range_scans += 1;
-        let (postings, decoded) = access.prefix_postings(pool, t, lcp)?;
-        stats.postings_decoded += decoded;
-        per_kw.push(postings);
-    }
-    drop(scan_span);
-
-    // Which direct children of lcp contain all keywords? A range scan
-    // returns its postings in Dewey order, so each keyword's child
-    // components under lcp come out ascending: keep one de-duplicated run
-    // per keyword and intersect the runs in one forward merge.
-    let depth = lcp.len();
-    let mut runs = per_kw.iter().map(|list| {
-        let mut run: Vec<u32> = Vec::new();
-        for c in list.iter().filter_map(|p| p.dewey.components().get(depth)) {
-            if run.last() != Some(c) {
-                run.push(*c);
-            }
-        }
-        run
-    });
-    let mut complete = runs.next().unwrap_or_default();
-    let rest: Vec<Vec<u32>> = runs.collect();
-    let mut at = vec![0usize; rest.len()];
-    complete.retain(|&c| {
-        rest.iter().zip(at.iter_mut()).all(|(run, i)| {
-            while run.get(*i).is_some_and(|&x| x < c) {
-                *i += 1;
-            }
-            run.get(*i) == Some(&c)
-        })
-    });
-
-    // Aggregate relevant occurrences per keyword.
-    let mut ranks = vec![0.0f64; n];
-    let mut pos_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, list) in per_kw.iter().enumerate() {
-        for p in list {
-            let relevant = match p.dewey.components().get(depth) {
-                None => true, // direct value occurrence
-                Some(c) => complete.binary_search(c).is_err(),
-            };
-            if !relevant {
-                continue;
-            }
-            let levels = (p.dewey.len() - depth) as i32;
-            let contribution = occurrence_rank(p, opts) * opts.decay.powi(levels);
-            ranks[i] = opts.aggregation.combine(ranks[i], contribution);
-            pos_lists[i].extend_from_slice(&p.positions);
-        }
-        if pos_lists[i].is_empty() {
-            // Keyword has no relevant occurrence → not a result.
-            return Ok(None);
-        }
-        pos_lists[i].sort_unstable();
-    }
-    let refs: Vec<&[u32]> = pos_lists.iter().map(|l| l.as_slice()).collect();
-    Ok(Some(opts.overall_rank(&ranks, &refs)))
 }
 
 /// Evaluates a conjunctive query with the Figure 7 algorithm, running the
@@ -495,7 +429,6 @@ pub fn evaluate_traced<S: PageStore, A: RankedAccess<S>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use xrank_graph::{Collection, CollectionBuilder};
     use xrank_index::extract::direct_postings;
     use xrank_index::{DilIndex, RdilIndex};
@@ -608,87 +541,6 @@ mod tests {
             "fixed descent budget exceeded: {} descents",
             s.cursor_descents
         );
-    }
-
-    /// A probe target, resolved against the generated list.
-    #[derive(Debug, Clone)]
-    enum Target {
-        /// The `i % len`-th posting itself: the top of the gap below it.
-        Posting(usize),
-        /// Below the first posting.
-        BelowFirst,
-        /// Past the last posting.
-        PastLast,
-        /// Anywhere in (and around) the list's ID space.
-        Any(DeweyId),
-    }
-
-    fn target() -> impl Strategy<Value = Target> {
-        prop_oneof![
-            3 => (0usize..1000).prop_map(Target::Posting),
-            1 => Just(Target::BelowFirst),
-            1 => Just(Target::PastLast),
-            4 => proptest::collection::vec(0u32..6, 0..5)
-                .prop_map(|c| Target::Any(DeweyId::from_components(c))),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-        /// The memo keyed by `DeweyId` answers exactly what a fresh cursor
-        /// answers, for every target it claims to cover — gap tops, targets
-        /// below the first posting and past the last included — and the
-        /// probed term's neighbours in the composite tree never leak in.
-        #[test]
-        fn memo_hits_equal_fresh_probes(
-            ids in proptest::collection::btree_set(
-                proptest::collection::vec(0u32..6, 1..5).prop_map(DeweyId::from_components),
-                0..120,
-            ),
-            targets in proptest::collection::vec(target(), 1..60),
-        ) {
-            let list: Vec<DeweyId> = ids.into_iter().collect();
-            let postings = |ids: &[DeweyId]| -> Vec<Posting> {
-                ids.iter()
-                    .map(|d| Posting { elem: 0, dewey: d.clone(), rank: 1.0, positions: vec![0] })
-                    .collect()
-            };
-            let fence = [DeweyId::from([0]), DeweyId::from([3, 3]), DeweyId::from([9, 9, 9])];
-            let mut pool = BufferPool::new(MemStore::new(), 256);
-            let rdil = RdilIndex::build_with(
-                &mut pool,
-                &[postings(&fence), postings(&list), postings(&fence)],
-                256, // small leaves: the list spans several
-            )
-            .unwrap();
-            let term = TermId(1);
-            let mut memo = ProbeMemo::default();
-            let mut cursor = rdil.probe_cursor(term);
-            for t in &targets {
-                let target = match (t, list.first(), list.last()) {
-                    (Target::Posting(i), Some(_), _) => list[i % list.len()].clone(),
-                    (Target::BelowFirst, Some(first), _) => first.prefix(first.len() - 1),
-                    (Target::PastLast, _, Some(last)) => last.child(0),
-                    (Target::Any(d), _, _) => d.clone(),
-                    _ => DeweyId::from([1]),
-                };
-                let fresh = rdil.probe_cursor(term).lowest_geq(&pool, &target).unwrap();
-                match memo.lookup(&target) {
-                    Some((entry, pred)) => {
-                        let hit = (entry.cloned(), pred.cloned());
-                        prop_assert_eq!(hit, fresh, "hit at {}", target);
-                    }
-                    None => {
-                        let answer = cursor.lowest_geq(&pool, &target).unwrap();
-                        prop_assert_eq!(&answer, &fresh, "cursor at {}", target);
-                        memo.insert(answer);
-                        let covered = memo.lookup(&target).is_some();
-                        prop_assert!(covered, "own answer not covered at {}", target);
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -36,6 +36,8 @@
 //! the pinned leaf (or a short sibling walk) without re-descending from
 //! the root each time, and [`TreeCursor::seek_geq_by`] lets a caller read
 //! just the part of an answer entry it needs while the leaf is pinned.
+//! [`TreeCursor::walk_from`] starts a range walk the same way, from
+//! wherever the cursor stands.
 //!
 //! Trees are built by offline bulk load from sorted input (the paper builds
 //! its indexes offline; Section 4.5). Leaf pages occupy offsets
@@ -312,6 +314,12 @@ impl LeafView {
     pub fn value(&self, slot: usize) -> StorageResult<&[u8]> {
         let (_, value, end) = self.spans(slot)?;
         Ok(&self.page[value..end])
+    }
+
+    /// The key and value bytes of `slot`, borrowed from the pinned page.
+    fn key_value(&self, slot: usize) -> StorageResult<(&[u8], &[u8])> {
+        let (key, value, end) = self.spans(slot)?;
+        Ok((&self.page[key..value], &self.page[value..end]))
     }
 
     /// First slot with `key >= target`, or `len()` when every key is below:
@@ -630,6 +638,8 @@ impl SortedKv {
 
     /// Collects all entries with `low <= key < high` via a leaf range
     /// scan: one descent, then each leaf read once (not once per entry).
+    /// The oracle of [`TreeCursor::walk_from`], which the query path uses
+    /// instead: it starts from a cursor's pinned leaf and copies nothing.
     pub fn range<S: PageStore>(
         &self,
         pool: &BufferPool<S>,
@@ -674,7 +684,7 @@ impl SortedKv {
 /// `probes = seeks_forward + seeks_backward + descents`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CursorStats {
-    /// Total `seek_geq` calls answered.
+    /// Total seeks answered: `seek_geq` probes and `walk_from` starts.
     pub probes: u64,
     /// Probes served from the pinned leaf or a short forward sibling walk.
     pub seeks_forward: u64,
@@ -751,6 +761,51 @@ impl TreeCursor {
         target: &[u8],
         mut read: impl FnMut(&LeafView, EntryLoc) -> StorageResult<T>,
     ) -> StorageResult<(Option<T>, Option<T>)> {
+        self.position(pool, target)?;
+        let view = self.view.as_ref().expect("a seek pins a leaf");
+        self.tree.probe_view(pool, self.leaf, view, target, &mut read)
+    }
+
+    /// A range walk started from the cursor: seeks to the first key
+    /// `>= low` exactly as [`TreeCursor::seek_geq`] does (same pinned-leaf
+    /// paths, same counters), then hands `visit` each entry's key and value
+    /// in key order, borrowed from the pinned leaf, until `visit` returns
+    /// `false` or the tree ends. Each leaf is read once, and the cursor
+    /// stays on the last one, so the next seek starts where the walk
+    /// stopped. Visiting the entries of `[low, high)` yields exactly
+    /// [`SortedKv::range`].
+    pub fn walk_from<S: PageStore>(
+        &mut self,
+        pool: &BufferPool<S>,
+        low: &[u8],
+        mut visit: impl FnMut(&[u8], &[u8]) -> StorageResult<bool>,
+    ) -> StorageResult<()> {
+        self.position(pool, low)?;
+        let mut view = self.view.take().expect("a seek pins a leaf");
+        let mut slot = view.lower_bound(low)?;
+        loop {
+            while slot < view.len() {
+                let (key, value) = view.key_value(slot)?;
+                if !visit(key, value)? {
+                    self.view = Some(view);
+                    return Ok(());
+                }
+                slot += 1;
+            }
+            if self.leaf + 1 >= self.tree.leaf_count {
+                self.view = Some(view);
+                return Ok(());
+            }
+            self.leaf += 1;
+            view = self.tree.leaf_view(pool, self.leaf)?;
+            slot = 0;
+        }
+    }
+
+    /// Pins the leaf a seek for `target` answers from — the pinned one, a
+    /// sibling at most [`MAX_SIBLING_HOPS`] away, or the descent's — and
+    /// counts the seek as exactly one of the three.
+    fn position<S: PageStore>(&mut self, pool: &BufferPool<S>, target: &[u8]) -> StorageResult<()> {
         self.stats.probes += 1;
         // Where the target sorts against the pinned leaf's first key;
         // `None` when nothing (or an empty leaf) is pinned.
@@ -770,9 +825,8 @@ impl TreeCursor {
                 if contained || leaf + 1 >= self.tree.leaf_count {
                     self.stats.seeks_forward += 1;
                     self.leaf = leaf;
-                    let out = self.tree.probe_view(pool, leaf, &view, target, &mut read);
                     self.view = Some(view);
-                    return out;
+                    return Ok(());
                 }
                 if hops >= MAX_SIBLING_HOPS {
                     break; // too far ahead — a fresh descent is cheaper
@@ -799,20 +853,17 @@ impl TreeCursor {
                 if covers {
                     self.stats.seeks_backward += 1;
                     self.leaf = leaf;
-                    let out = self.tree.probe_view(pool, leaf, &view, target, &mut read);
                     self.view = Some(view);
-                    return out;
+                    return Ok(());
                 }
             }
         }
         // Slow path: first seek, or a long jump in either direction.
         self.stats.descents += 1;
         let leaf = self.tree.interior.descend(pool, target)?;
-        let view = self.tree.leaf_view(pool, leaf)?;
-        let out = self.tree.probe_view(pool, leaf, &view, target, &mut read);
+        self.view = Some(self.tree.leaf_view(pool, leaf)?);
         self.leaf = leaf;
-        self.view = Some(view);
-        out
+        Ok(())
     }
 }
 
@@ -1149,6 +1200,51 @@ mod tests {
         assert!(is_corrupt(tree.lowest_geq(&pool, b"key000000")));
         assert!(is_corrupt(tree.cursor().seek_geq(&pool, b"key000000")));
         assert!(is_corrupt(tree.range(&pool, b"", b"zzz")));
+        assert!(is_corrupt(tree.cursor().walk_from(&pool, b"", |_, _| Ok(true))));
+    }
+
+    /// A walk that starts inside the pinned leaf reads no page, a walk
+    /// across leaves reads each once, and the next seek starts from where
+    /// the walk stopped.
+    #[test]
+    fn walk_from_starts_on_the_pinned_leaf() {
+        let (pool, tree) = build_tree(2000);
+        let mut cur = tree.cursor();
+        cur.seek_geq(&pool, &kv(500).0).unwrap();
+        pool.reset_stats();
+        let mut keys = Vec::new();
+        let high = kv(510).0;
+        cur.walk_from(&pool, &kv(501).0, |k, v| {
+            let more = k < high.as_slice();
+            if more {
+                keys.push((k.to_vec(), v.to_vec()));
+            }
+            Ok(more)
+        })
+        .unwrap();
+        assert_eq!(keys, (501..510).map(kv).collect::<Vec<_>>());
+        assert_eq!(pool.stats().logical_reads(), 0, "served off the pinned leaf");
+
+        let mut seen = 0u32;
+        cur.walk_from(&pool, &kv(0).0, |_, _| {
+            seen += 1;
+            Ok(true)
+        })
+        .unwrap();
+        assert_eq!(seen, 2000);
+        let s = cur.stats();
+        assert_eq!((s.probes, s.descents), (3, 1), "{s:?}");
+        assert!(
+            pool.stats().logical_reads() <= (tree.leaf_count + MAX_SIBLING_HOPS) as u64,
+            "{} reads over {} leaves",
+            pool.stats().logical_reads(),
+            tree.leaf_count
+        );
+        // The cursor now pins the last leaf: a seek there reads nothing.
+        pool.reset_stats();
+        let (e, _) = cur.seek_geq(&pool, &kv(1999).0).unwrap();
+        assert_eq!(e.unwrap().key, kv(1999).0);
+        assert_eq!(pool.stats().logical_reads(), 0);
     }
 
     use proptest::prelude::*;
@@ -1165,9 +1261,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-        /// Random bytes of one leaf overwritten: every probe, cursor seek
-        /// and range scan through the tree ends `Ok` or `Corrupt`, never in
-        /// a panic or another error.
+        /// Random bytes of one leaf overwritten: every probe, cursor seek,
+        /// range scan and cursor range walk through the tree ends `Ok` or
+        /// `Corrupt`, never in a panic or another error.
         #[test]
         fn damaged_leaf_never_panics(
             leaf in 0u32..6,
@@ -1191,6 +1287,8 @@ mod tests {
                 prop_assert!(typed(cur.seek_geq(&pool, &k).map(drop)), "seek_geq {t}");
                 let (high, _) = kv(t + 300);
                 prop_assert!(typed(tree.range(&pool, &k, &high).map(drop)), "range from {t}");
+                let walk = cur.walk_from(&pool, &k, |key, _| Ok(key < high.as_slice()));
+                prop_assert!(typed(walk), "walk from {t}");
             }
         }
     }

@@ -146,6 +146,47 @@ proptest! {
         prop_assert_eq!(stats.descents, 1, "reverse walk re-descended: {:?}", stats);
     }
 
+    /// The cursor-started range walk is `SortedKv::range` served from
+    /// wherever earlier seeks left the cursor: any key set, any seek
+    /// history, any `[low, high)`.
+    #[test]
+    fn cursor_range_walk_matches_range(
+        keys in keys(),
+        seeks in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..12), 0..20),
+        bounds in proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 0..10), proptest::collection::vec(any::<u8>(), 0..10)),
+            1..8,
+        ),
+    ) {
+        let (pool, tree, _model) = build(&keys);
+        let mut cur = tree.cursor();
+        for s in &seeks {
+            cur.seek_geq(&pool, s).unwrap();
+        }
+        for (lo, hi) in &bounds {
+            let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
+            let mut walked: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+            cur.walk_from(&pool, lo, |k, v| {
+                let inside = k < hi.as_slice();
+                if inside {
+                    walked.push((k.to_vec(), v.to_vec()));
+                }
+                Ok(inside)
+            })
+            .unwrap();
+            let expect: Vec<(Vec<u8>, Vec<u8>)> = tree
+                .range(&pool, lo, hi)
+                .unwrap()
+                .into_iter()
+                .map(|e| (e.key, e.value))
+                .collect();
+            prop_assert_eq!(walked, expect, "walk [{:?}, {:?})", lo, hi);
+        }
+        let stats = cur.stats();
+        prop_assert_eq!(stats.probes, (seeks.len() + bounds.len()) as u64);
+        prop_assert_eq!(stats.probes, stats.seeks_forward + stats.seeks_backward + stats.descents);
+    }
+
     #[test]
     fn cursor_walk_enumerates_model_in_order(keys in keys()) {
         let (pool, tree, model) = build(&keys);
