@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks for the substrates: Dewey codec, B+-tree
-//! probes, posting-list reads, RDIL's Figure 7 loop, XML parsing,
-//! tokenization.
+//! probes, posting-list reads, RDIL's Figure 7 loop, the two halves of an
+//! engine open, XML parsing, tokenization.
 //!
 //! Run with `cargo bench -p xrank-bench --bench substrates`. The shim
 //! prints min / mean / max per benchmark; compare minimums, which see
@@ -9,12 +9,12 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use xrank_dewey::{codec, DeweyId};
-use xrank_graph::TermId;
+use xrank_graph::{Collection, CollectionBuilder, TermId};
 use xrank_index::posting::Posting;
 use xrank_index::{DilIndex, RdilIndex};
 use xrank_query::{dil_query, rdil_query, QueryOptions};
 use xrank_storage::btree::SortedKv;
-use xrank_storage::{BufferPool, MemStore};
+use xrank_storage::{BufferPool, FileStore, MemStore, PageStore};
 
 fn bench_dewey_codec(c: &mut Criterion) {
     let ids: Vec<DeweyId> = (0..1000u32)
@@ -207,6 +207,42 @@ fn bench_rdil(c: &mut Criterion) {
     g.finish();
 }
 
+/// The two halves of `XRankEngine::open`, which run side by side: the
+/// checksum scan of a 4 096-page `FileStore` (16 MiB of slots, page cache
+/// warm after the first sample) and the decode of a dblp(2 000)
+/// collection from memory.
+fn bench_open(c: &mut Criterion) {
+    const PAGES: u32 = 4096;
+    let dir = std::env::temp_dir().join(format!("xrank-bench-open-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = FileStore::open(&dir).unwrap();
+    let seg = store.create_segment().unwrap();
+    for p in 0..PAGES {
+        let page: Vec<u8> = (0..4096u32).map(|i| (i.wrapping_mul(p + 1) >> 3) as u8).collect();
+        store.append_page(seg, &page).unwrap();
+    }
+
+    let ds = xrank_datagen::dblp::generate(&Default::default());
+    let mut builder = CollectionBuilder::new();
+    for (uri, xml) in &ds.docs {
+        builder.add_xml_str(uri, xml).unwrap();
+    }
+    let mut serialized = Vec::new();
+    builder.build().write_to(&mut serialized).unwrap();
+
+    let mut g = c.benchmark_group("open");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(PAGES as u64));
+    g.bench_function("verify/4096-pages", |b| b.iter(|| store.verify().unwrap()));
+    g.throughput(Throughput::Bytes(serialized.len() as u64));
+    g.bench_function("collection-read/dblp-2000", |b| {
+        b.iter(|| black_box(Collection::read_from(&mut serialized.as_slice()).unwrap()))
+    });
+    g.finish();
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn bench_xml_parse(c: &mut Criterion) {
     let ds = xrank_datagen::xmark::generate(&xrank_datagen::xmark::XmarkConfig {
         scale: 0.2,
@@ -230,6 +266,7 @@ criterion_group!(
     bench_btree_probe,
     bench_list,
     bench_rdil,
+    bench_open,
     bench_xml_parse
 );
 criterion_main!(benches);

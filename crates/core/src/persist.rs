@@ -17,7 +17,10 @@
 //! that order (`store/`, then `store.old/`), so *some* complete index is
 //! always openable. Opening also verifies every page checksum so that
 //! silent on-disk corruption fails loudly at open instead of poisoning
-//! queries later.
+//! queries later. That scan ([`FileStore::verify`]: 1 MiB batches of page
+//! slots across the cores, lowest damaged page reported) runs on its own
+//! thread while the main thread decodes the meta file; when both fail, the
+//! meta error is the one returned.
 //!
 //! The meta file is `XRKE`, a `u32` version, then the sections written by
 //! [`XRankEngine::write_meta_file`] in order. Exactly one version is read;
@@ -160,64 +163,90 @@ impl XRankEngine<FileStore> {
     }
 
     fn open_at(store_dir: &Path, config: EngineConfig) -> io::Result<Self> {
-        let mut r = BufReader::new(std::fs::File::open(store_dir.join(META_FILE))?);
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(bad("bad magic"));
-        }
-        let version = get_u32(&mut r)?;
-        if version != VERSION {
-            return Err(bad(&format!(
-                "unsupported version {version} (this build reads version {VERSION} only; \
-                 rebuild the index from source)"
-            )));
-        }
-
-        let collection = Collection::read_from(&mut r)?;
-
-        let n_scores = get_u64(&mut r)?;
-        if n_scores != collection.element_count() as u64 {
-            return Err(bad("rank vector does not match the collection"));
-        }
-        let mut scores = Vec::with_capacity(n_scores as usize);
-        for _ in 0..n_scores {
-            scores.push(get_f64(&mut r)?);
-        }
-        let iterations = get_u32(&mut r)? as usize;
-        let converged = get_u32(&mut r)? != 0;
-        let residual = get_f64(&mut r)?;
-        let ranks = RankResult { scores, iterations, converged, residual };
-
-        let n_html = get_u32(&mut r)?;
-        let mut html_docs = HashSet::with_capacity(n_html.min(1 << 20) as usize);
-        for _ in 0..n_html {
-            html_docs.insert(get_u32(&mut r)?);
-        }
-
-        let hdil = HdilIndex::read_meta(&mut r)?;
-        let rdil = match get_u32(&mut r)? {
-            0 => None,
-            1 => Some(RdilIndex::read_meta(&mut r)?),
-            k => return Err(bad(&format!("bad rdil tag {k}"))),
-        };
-        let (naive_id, naive_rank) = match get_u32(&mut r)? {
-            0 => (None, None),
-            1 => (
-                Some(NaiveIdIndex::read_meta(&mut r)?),
-                Some(NaiveRankIndex::read_meta(&mut r)?),
-            ),
-            k => return Err(bad(&format!("bad naive tag {k}"))),
-        };
-
-        let store = FileStore::open(store_dir)?;
-        // Full checksum scan: a bit-flipped or truncated segment fails the
-        // open with a descriptive error instead of surfacing mid-query.
-        store.verify().map_err(io::Error::from)?;
-        let mut pool = BufferPool::new(store, config.pool_pages);
+        // The full checksum scan — a bit-flipped or truncated segment fails
+        // the open with a descriptive error instead of surfacing mid-query —
+        // runs beside the meta decode; they share nothing. The store is
+        // attached on that thread too, so that when both sides fail the
+        // meta error is returned, as when the two ran in sequence.
+        let (meta, store) = std::thread::scope(|s| {
+            let store = s.spawn(|| -> io::Result<FileStore> {
+                let store = FileStore::open(store_dir)?;
+                store.verify()?;
+                Ok(store)
+            });
+            let meta = read_meta_file(&store_dir.join(META_FILE));
+            (meta, store.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+        });
+        let Meta { collection, ranks, html_docs, hdil, rdil, naive_id, naive_rank } = meta?;
+        let mut pool = BufferPool::new(store?, config.pool_pages);
         pool.set_fault_policy(config.fault_policy);
         Ok(XRankEngine::from_parts(
             config, collection, ranks, pool, hdil, rdil, naive_id, naive_rank, html_docs,
         ))
     }
+}
+
+/// Everything the meta file holds, decoded.
+struct Meta {
+    collection: Collection,
+    ranks: RankResult,
+    html_docs: HashSet<u32>,
+    hdil: HdilIndex,
+    rdil: Option<RdilIndex>,
+    naive_id: Option<NaiveIdIndex>,
+    naive_rank: Option<NaiveRankIndex>,
+}
+
+/// Decodes the meta file written by [`XRankEngine::write_meta_file`].
+fn read_meta_file(path: &Path) -> io::Result<Meta> {
+    let mut r = BufReader::new(std::fs::File::open(path)?);
+    let mut magic = [0u8; 4];
+    r.read_exact(&mut magic)?;
+    if &magic != MAGIC {
+        return Err(bad("bad magic"));
+    }
+    let version = get_u32(&mut r)?;
+    if version != VERSION {
+        return Err(bad(&format!(
+            "unsupported version {version} (this build reads version {VERSION} only; \
+             rebuild the index from source)"
+        )));
+    }
+
+    let collection = Collection::read_from(&mut r)?;
+
+    let n_scores = get_u64(&mut r)?;
+    if n_scores != collection.element_count() as u64 {
+        return Err(bad("rank vector does not match the collection"));
+    }
+    let mut scores = Vec::with_capacity(n_scores as usize);
+    for _ in 0..n_scores {
+        scores.push(get_f64(&mut r)?);
+    }
+    let iterations = get_u32(&mut r)? as usize;
+    let converged = get_u32(&mut r)? != 0;
+    let residual = get_f64(&mut r)?;
+    let ranks = RankResult { scores, iterations, converged, residual };
+
+    let n_html = get_u32(&mut r)?;
+    let mut html_docs = HashSet::with_capacity(n_html.min(1 << 20) as usize);
+    for _ in 0..n_html {
+        html_docs.insert(get_u32(&mut r)?);
+    }
+
+    let hdil = HdilIndex::read_meta(&mut r)?;
+    let rdil = match get_u32(&mut r)? {
+        0 => None,
+        1 => Some(RdilIndex::read_meta(&mut r)?),
+        k => return Err(bad(&format!("bad rdil tag {k}"))),
+    };
+    let (naive_id, naive_rank) = match get_u32(&mut r)? {
+        0 => (None, None),
+        1 => (
+            Some(NaiveIdIndex::read_meta(&mut r)?),
+            Some(NaiveRankIndex::read_meta(&mut r)?),
+        ),
+        k => return Err(bad(&format!("bad naive tag {k}"))),
+    };
+    Ok(Meta { collection, ranks, html_docs, hdil, rdil, naive_id, naive_rank })
 }

@@ -181,6 +181,48 @@ fn flipped_list_table_count_is_an_error_not_an_abort() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The collection's counts are unchecked input too: a flipped element or
+/// token count must be `InvalidData`, not an allocation abort.
+#[test]
+fn flipped_collection_counts_are_errors_not_aborts() {
+    let dir = tempdir("hugecollection");
+    let built = build_persistent(&dir, false);
+    let collection = built.collection();
+    // Offset of the element count in the meta file: magic + version, then
+    // the collection's magic, version, documents, vocabulary and
+    // unresolved-link count. Every string here is shorter than 128 bytes,
+    // so its length is a one-byte varint.
+    let short = |s: &str| {
+        assert!(s.len() < 128);
+        1 + s.len()
+    };
+    let docs: usize = collection.docs().iter().map(|d| short(&d.uri) + 12).sum();
+    let terms: usize = collection.vocabulary().iter().map(|(_, t)| short(t)).sum();
+    let elements_at = 8 + 8 + 4 + docs + 4 + terms + 4;
+    // The first element: document, tag name, parent, then its token count.
+    let first = collection.element(0);
+    let tokens_at = elements_at + 4 + 4 + short(&first.name) + 4;
+    let (n_elements, n_tokens) = (collection.element_count() as u32, first.tokens.len() as u8);
+    drop(built);
+
+    let meta = dir.join("store").join("xrank-meta.bin");
+    let original = std::fs::read(&meta).unwrap();
+    assert_eq!(original[elements_at..elements_at + 4], n_elements.to_le_bytes());
+    assert!(n_tokens > 0 && n_tokens < 128 && original[tokens_at] == n_tokens);
+
+    let mut elements = original.clone();
+    elements[elements_at..elements_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let mut tokens = original[..tokens_at].to_vec();
+    xrank_dewey::codec::write_component(u32::MAX, &mut tokens);
+    tokens.extend(&original[tokens_at + 1..]);
+    for (what, bytes) in [("element count", elements), ("token count", tokens)] {
+        std::fs::write(&meta, &bytes).unwrap();
+        let err = XRankEngine::open(&dir, EngineConfig::default()).err().expect(what);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn bit_flipped_segment_fails_open() {
     let dir = tempdir("bitflip");
@@ -192,6 +234,28 @@ fn bit_flipped_segment_fails_open() {
     std::fs::write(&seg, &bytes).unwrap();
     let err = XRankEngine::open(&dir, EngineConfig::default());
     assert!(err.is_err(), "checksum verification must reject a flipped bit");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The checksum scan runs beside the meta decode; when both fail, the
+/// meta error is reported, as when they ran one after the other.
+#[test]
+fn meta_error_wins_over_a_checksum_error() {
+    let dir = tempdir("botherrors");
+    drop(build_persistent(&dir, false));
+    let seg = dir.join("store").join("seg-0.pages");
+    let mut bytes = std::fs::read(&seg).unwrap();
+    bytes[100] ^= 0x01;
+    std::fs::write(&seg, &bytes).unwrap();
+    let err = XRankEngine::open(&dir, EngineConfig::default()).err().expect("flipped bit");
+    assert!(err.to_string().contains("checksum mismatch on segment 0 page 0"), "{err}");
+
+    let meta = dir.join("store").join("xrank-meta.bin");
+    let mut bytes = std::fs::read(&meta).unwrap();
+    bytes[0] = b'Z';
+    std::fs::write(&meta, &bytes).unwrap();
+    let err = XRankEngine::open(&dir, EngineConfig::default()).err().expect("both damaged");
+    assert!(err.to_string().contains("engine meta: bad magic"), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -18,6 +18,10 @@ use xrank_dewey::{codec, DeweyId};
 const MAGIC: &[u8; 4] = b"XRKC";
 const VERSION: u32 = 1;
 const NO_PARENT: u32 = u32::MAX;
+/// Cap on a capacity reserved from a count the stream claims: the stream
+/// carries no checksum, so a flipped count must end in an error at the
+/// first missing record, not in an allocation abort.
+const MAX_PREALLOC: u32 = 1 << 20;
 
 fn put_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -40,17 +44,16 @@ fn get_varint<R: Read>(r: &mut R) -> io::Result<u32> {
     let mut first = [0u8; 1];
     r.read_exact(&mut first)?;
     let extra = match first[0] {
-        0x00..=0x7F => 0,
+        0x00..=0x7F => return Ok(first[0] as u32),
         0x80..=0xBF => 1,
         0xC0..=0xDF => 2,
         0xE0..=0xEF => 3,
         0xF0 => 4,
         _ => return Err(bad("invalid varint tag")),
     };
-    let mut buf = vec![first[0]];
-    buf.resize(1 + extra, 0);
-    r.read_exact(&mut buf[1..])?;
-    codec::read_component(&buf)
+    let mut buf = [first[0], 0, 0, 0, 0];
+    r.read_exact(&mut buf[1..=extra])?;
+    codec::read_component(&buf[..=extra])
         .map(|(v, _)| v)
         .map_err(|e| bad(&format!("varint: {e}")))
 }
@@ -130,7 +133,7 @@ impl Collection {
         }
 
         let n_docs = get_u32(r)?;
-        let mut docs = Vec::with_capacity(n_docs as usize);
+        let mut docs = Vec::with_capacity(n_docs.min(MAX_PREALLOC) as usize);
         for _ in 0..n_docs {
             docs.push(DocInfo {
                 uri: get_str(r)?,
@@ -153,7 +156,8 @@ impl Collection {
         let unresolved_links = get_u32(r)?;
 
         let n_elements = get_u32(r)?;
-        let mut elements: Vec<Element> = Vec::with_capacity(n_elements as usize);
+        let mut elements: Vec<Element> =
+            Vec::with_capacity(n_elements.min(MAX_PREALLOC) as usize);
         for id in 0..n_elements {
             let doc = get_u32(r)?;
             if doc >= n_docs {
@@ -170,20 +174,20 @@ impl Collection {
             };
 
             let n_tokens = get_varint(r)?;
-            let mut tokens = Vec::with_capacity(n_tokens as usize);
+            let mut tokens = Vec::with_capacity(n_tokens.min(MAX_PREALLOC) as usize);
             let mut pos = 0u32;
-            for i in 0..n_tokens {
+            for _ in 0..n_tokens {
                 let term = get_varint(r)?;
                 if term >= n_terms {
                     return Err(bad("token references unknown term"));
                 }
                 let delta = get_varint(r)?;
-                pos = if i == 0 { delta } else { pos + delta };
+                pos = pos.checked_add(delta).ok_or_else(|| bad("token position overflows"))?;
                 tokens.push(TokenOccurrence { term: TermId(term), pos });
             }
 
             let n_links = get_varint(r)?;
-            let mut links_out = Vec::with_capacity(n_links as usize);
+            let mut links_out = Vec::with_capacity(n_links.min(MAX_PREALLOC) as usize);
             for _ in 0..n_links {
                 let l = get_varint(r)?;
                 if l >= n_elements {
@@ -277,8 +281,26 @@ mod tests {
         corrupted[0] = b'Z';
         assert!(Collection::read_from(&mut corrupted.as_slice()).is_err());
 
-        let truncated = &buf[..buf.len() / 2];
-        assert!(Collection::read_from(&mut &truncated[..]).is_err());
+        // Every strict prefix, so every field — and every tail length of
+        // every varint — is cut somewhere.
+        for len in 0..buf.len() {
+            assert!(Collection::read_from(&mut &buf[..len]).is_err(), "prefix of {len} bytes");
+        }
+    }
+
+    #[test]
+    fn varints_of_every_width_read_back_and_every_cut_is_an_error() {
+        // The first and last value of each width: 1 to 5 bytes.
+        let widths = [0, 127, 128, 16_511, 16_512, 2_113_663, 2_113_664, 270_549_119, 270_549_120];
+        for v in widths.into_iter().chain([u32::MAX]) {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v).unwrap();
+            assert_eq!(get_varint(&mut buf.as_slice()).unwrap(), v);
+            for len in 0..buf.len() {
+                assert!(get_varint(&mut &buf[..len]).is_err(), "{v}: prefix of {len} bytes");
+            }
+        }
+        assert!(get_varint(&mut &[0xF8u8, 0, 0, 0, 0][..]).is_err(), "invalid tag");
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::error::{crc32, StorageError, StorageResult};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Fixed page size, in bytes.
 pub const PAGE_SIZE: usize = 4096;
@@ -155,6 +156,26 @@ impl PageStore for MemStore {
 /// [`PAGE_TRAILER_MAGIC`].
 const SLOT_SIZE: usize = PAGE_SIZE + PAGE_TRAILER_LEN;
 
+/// Slots [`FileStore::verify`] reads with one positional read (1 MiB).
+const VERIFY_BATCH: u32 = 256;
+
+/// The integrity check of one on-disk slot, made by every read: the
+/// trailer magic is present (else [`StorageError::TornWrite`]) and the
+/// stored CRC matches the page bytes (else
+/// [`StorageError::ChecksumMismatch`]).
+fn check_slot(id: PageId, slot: &[u8]) -> StorageResult<()> {
+    if slot[PAGE_SIZE + 4..] != PAGE_TRAILER_MAGIC {
+        return Err(StorageError::TornWrite { id });
+    }
+    let stored =
+        u32::from_le_bytes(slot[PAGE_SIZE..PAGE_SIZE + 4].try_into().expect("4-byte slice"));
+    let computed = crc32(&slot[..PAGE_SIZE]);
+    if stored != computed {
+        return Err(StorageError::ChecksumMismatch { id, stored, computed });
+    }
+    Ok(())
+}
+
 /// The `FORMAT` marker of the one layout this build reads and writes.
 const FORMAT_TAG: &str = "2";
 
@@ -251,16 +272,72 @@ impl FileStore {
     }
 
     /// Reads back every page of every segment, verifying trailers and
-    /// checksums. A clean pass proves the files are fully readable
-    /// and uncorrupted; the first damaged page aborts with its typed
-    /// error. Used by engine open to fail loudly on silent corruption.
+    /// checksums with the check [`PageStore::read_page`] makes. A clean
+    /// pass proves the files are fully readable and uncorrupted; otherwise
+    /// the lowest damaged page's typed error is returned. Used by engine
+    /// open to fail loudly on silent corruption.
+    ///
+    /// The scan reads batches of 256 slots (1 MiB) with one positional
+    /// read each and shares them among
+    /// [`std::thread::available_parallelism`] threads; the result does not
+    /// depend on the split.
     pub fn verify(&self) -> StorageResult<()> {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        for s in 0..self.segment_count() {
-            let seg = SegmentId(s);
-            for p in 0..self.page_count(seg) {
-                self.read_page(PageId::new(seg, p), &mut buf)?;
+        self.verify_split(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    }
+
+    /// [`FileStore::verify`] on `ways` threads. Workers take batches in
+    /// ascending page order from one shared counter and stop at their
+    /// first damaged batch; a batch above the lowest damaged one found so
+    /// far is skipped, and every batch below it is checked, so the lowest
+    /// damaged page always wins.
+    fn verify_split(&self, ways: usize) -> StorageResult<()> {
+        let batches: Vec<PageId> = (0..self.segment_count())
+            .flat_map(|s| {
+                let seg = SegmentId(s);
+                let starts = (0..self.page_count(seg)).step_by(VERIFY_BATCH as usize);
+                starts.map(move |p| PageId::new(seg, p))
+            })
+            .collect();
+        // Relaxed: both counters only steer which batches get checked and
+        // publish no data; the errors travel through the joins.
+        let next = AtomicUsize::new(0);
+        let lowest_damaged = AtomicUsize::new(usize::MAX);
+        let worker = || {
+            let mut buf = vec![0u8; VERIFY_BATCH as usize * SLOT_SIZE];
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= batches.len() || i > lowest_damaged.load(Ordering::Relaxed) {
+                    return None;
+                }
+                if let Err(e) = self.verify_batch(batches[i], &mut buf) {
+                    lowest_damaged.fetch_min(i, Ordering::Relaxed);
+                    return Some((i, e));
+                }
             }
+        };
+        let ways = ways.clamp(1, batches.len().max(1));
+        let damaged = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..ways).map(|_| s.spawn(worker)).collect();
+            let mine = worker();
+            helpers
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .chain([mine])
+                .flatten()
+                .min_by_key(|&(i, _)| i)
+        });
+        damaged.map_or(Ok(()), |(_, e)| Err(e))
+    }
+
+    /// Checks the up to [`VERIFY_BATCH`] slots from `first` on, read into
+    /// `buf` with one positional read.
+    fn verify_batch(&self, first: PageId, buf: &mut [u8]) -> StorageResult<()> {
+        let seg = self.segment(first.segment)?;
+        let n = (seg.pages - first.page).min(VERIFY_BATCH) as usize;
+        let run = &mut buf[..n * SLOT_SIZE];
+        Self::read_slot(seg, first.page as u64 * SLOT_SIZE as u64, run)?;
+        for (k, slot) in (first.page..).zip(run.chunks_exact(SLOT_SIZE)) {
+            check_slot(PageId::new(first.segment, k), slot)?;
         }
         Ok(())
     }
@@ -362,15 +439,7 @@ impl PageStore for FileStore {
         }
         let mut slot = [0u8; SLOT_SIZE];
         Self::read_slot(seg, id.page as u64 * SLOT_SIZE as u64, &mut slot)?;
-        if slot[PAGE_SIZE + 4..] != PAGE_TRAILER_MAGIC {
-            return Err(StorageError::TornWrite { id });
-        }
-        let stored =
-            u32::from_le_bytes(slot[PAGE_SIZE..PAGE_SIZE + 4].try_into().expect("4-byte slice"));
-        let computed = crc32(&slot[..PAGE_SIZE]);
-        if stored != computed {
-            return Err(StorageError::ChecksumMismatch { id, stored, computed });
-        }
+        check_slot(id, &slot)?;
         buf.copy_from_slice(&slot[..PAGE_SIZE]);
         Ok(())
     }
@@ -554,6 +623,87 @@ mod tests {
         let mut buf = vec![0u8; PAGE_SIZE];
         store.read_page(PageId::new(seg, 0), &mut buf).unwrap();
         assert_eq!(&buf[..9], b"committed");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A slot to damage: segment, page, and whether to zero its trailer
+    /// magic (a torn write) instead of flipping a payload bit.
+    type Damage = (u32, u32, bool);
+
+    /// Writes `pages` pages into each of two segments, then damages the
+    /// listed slots in place.
+    fn damaged_store(tag: &str, pages: u32, damage: &[Damage]) -> PathBuf {
+        let dir = temp_dir(tag);
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let mut store = FileStore::open(&dir).unwrap();
+            for _ in 0..2 {
+                let seg = store.create_segment().unwrap();
+                for p in 0..pages {
+                    store.append_page(seg, &p.to_le_bytes()).unwrap();
+                }
+            }
+        }
+        for &(seg, page, torn) in damage {
+            let path = dir.join(format!("seg-{seg}.pages"));
+            let mut raw = std::fs::read(&path).unwrap();
+            let at = page as usize * SLOT_SIZE;
+            if torn {
+                raw[at + PAGE_SIZE + 4..at + SLOT_SIZE].fill(0);
+            } else {
+                raw[at + 100] ^= 0x40;
+            }
+            std::fs::write(&path, &raw).unwrap();
+        }
+        dir
+    }
+
+    fn damaged_page(err: &StorageError) -> (PageId, bool) {
+        match err {
+            StorageError::ChecksumMismatch { id, .. } => (*id, false),
+            StorageError::TornWrite { id } => (*id, true),
+            other => panic!("untyped verify error: {other}"),
+        }
+    }
+
+    #[test]
+    fn verify_reports_the_lowest_damaged_page_whatever_the_split() {
+        let pages = 2 * VERIFY_BATCH + 40;
+        let b = VERIFY_BATCH;
+        let cases: &[(&str, &[Damage])] = &[
+            ("clean", &[]),
+            ("last-of-batch", &[(0, b - 1, false), (0, b, false), (1, 3, false)]),
+            ("first-of-batch", &[(0, b, false), (1, 0, true)]),
+            ("torn-at-boundary", &[(0, b, true), (0, 2 * b + 39, false)]),
+            ("second-segment", &[(1, 2 * b + 39, false), (1, b - 1, true), (1, b, false)]),
+            ("first-page", &[(1, b, false), (0, 0, false)]),
+        ];
+        for (tag, damage) in cases {
+            let dir = damaged_store(&format!("split-{tag}"), pages, damage);
+            let store = FileStore::open(&dir).unwrap();
+            let expected =
+                damage.iter().map(|&(s, p, torn)| (PageId::new(SegmentId(s), p), torn)).min();
+            for ways in [1, 2, 4] {
+                let got = store.verify_split(ways).err().map(|e| damaged_page(&e));
+                assert_eq!(got, expected, "{tag}, split {ways} ways");
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn verify_ignores_a_trailing_partial_slot() {
+        let dir = damaged_store("verify-partial", VERIFY_BATCH + 1, &[]);
+        // A torn append: half a slot of garbage after the last full one.
+        let path = dir.join("seg-0.pages");
+        let mut raw = std::fs::read(&path).unwrap();
+        raw.resize(raw.len() + SLOT_SIZE / 2, 0xEE);
+        std::fs::write(&path, &raw).unwrap();
+        let store = FileStore::open(&dir).unwrap();
+        assert_eq!(store.page_count(SegmentId(0)), VERIFY_BATCH + 1);
+        for ways in [1, 2, 4] {
+            store.verify_split(ways).unwrap();
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
