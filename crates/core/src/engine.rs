@@ -5,7 +5,7 @@ use crate::telemetry::{
     strategy_label, EngineMetrics, Explain, ObsConfig, SlowQueryEntry, SlowQueryLog, ANY_SLOT,
 };
 use std::collections::HashSet;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use xrank_graph::{Collection, CollectionBuilder, ElemId, LinkSpec, TermId};
 use xrank_index::{
     direct_postings_weighted, naive_postings, HdilIndex, NaiveIdIndex, NaiveRankIndex,
@@ -83,12 +83,6 @@ pub struct EngineConfig {
     pub weighting: RankWeighting,
     /// Observability: metrics gating, slow-query log threshold/capacity.
     pub obs: ObsConfig,
-    /// Engine-level concurrency backstop: the maximum number of queries
-    /// evaluating simultaneously through [`XRankEngine::query`]. `0`
-    /// (default) means unbounded; a positive value makes excess callers
-    /// wait — the executor's admission policy is the place to shed, this
-    /// is the last line of defense for direct callers.
-    pub max_in_flight: usize,
     /// Retry and circuit-breaker behavior for physical page reads
     /// (defaults to fully disabled: every fault surfaces immediately).
     pub fault_policy: FaultPolicy,
@@ -110,7 +104,6 @@ impl Default for EngineConfig {
             link_spec: LinkSpec::default(),
             weighting: RankWeighting::ElemRank,
             obs: ObsConfig::default(),
-            max_in_flight: 0,
             fault_policy: FaultPolicy::default(),
             wal: crate::wal::WalConfig::default(),
         }
@@ -284,52 +277,6 @@ impl Default for EngineBuilder {
     }
 }
 
-/// Counting semaphore bounding concurrent evaluations
-/// ([`EngineConfig::max_in_flight`]); `limit == 0` disables it entirely.
-struct InFlightLimiter {
-    limit: usize,
-    active: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl InFlightLimiter {
-    fn new(limit: usize) -> Self {
-        InFlightLimiter { limit, active: Mutex::new(0), cv: Condvar::new() }
-    }
-
-    /// Blocks until a slot frees up (no-op when unbounded). The returned
-    /// permit releases the slot on drop — including on error paths and
-    /// panics, so a failed query can never leak a slot.
-    fn acquire(&self) -> InFlightPermit<'_> {
-        if self.limit > 0 {
-            let mut active = self.active.lock().unwrap_or_else(|e| e.into_inner());
-            while *active >= self.limit {
-                active = self.cv.wait(active).unwrap_or_else(|e| e.into_inner());
-            }
-            *active += 1;
-        }
-        InFlightPermit { limiter: self }
-    }
-}
-
-struct InFlightPermit<'a> {
-    limiter: &'a InFlightLimiter,
-}
-
-impl Drop for InFlightPermit<'_> {
-    fn drop(&mut self) {
-        if self.limiter.limit > 0 {
-            let mut active = self
-                .limiter
-                .active
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            *active = active.saturating_sub(1);
-            self.limiter.cv.notify_one();
-        }
-    }
-}
-
 /// The built search engine (in memory by default; see
 /// [`EngineBuilder::build_persistent`] / [`XRankEngine::open`] for the
 /// file-backed form).
@@ -346,7 +293,6 @@ pub struct XRankEngine<S: PageStore = MemStore> {
     metrics: Arc<MetricsRegistry>,
     emetrics: EngineMetrics,
     slow_log: SlowQueryLog,
-    limiter: InFlightLimiter,
     recorder: Arc<FlightRecorder>,
     /// Per-segment gauge series published on the last scrape, so series
     /// whose segment has since disappeared can be retired.
@@ -371,7 +317,6 @@ impl<S: PageStore> XRankEngine<S> {
             .filter_map(|w| self.collection.vocabulary().lookup(w))
             .collect();
         self.pool.clear_cache();
-        let _permit = self.limiter.acquire();
         let scope = StatsScope::begin();
         let start = std::time::Instant::now();
         let outcome =
@@ -486,7 +431,6 @@ impl<S: PageStore> XRankEngine<S> {
         opts: &QueryOptions,
         trace: QueryTrace,
     ) -> Result<SearchResults, QueryError> {
-        let _permit = self.limiter.acquire();
         // The caller only gets a trace back if it asked for one, but the
         // flight recorder wants every operation traced — upgrade a
         // disabled trace while recording is on (the e8 recorder-overhead
@@ -945,7 +889,6 @@ impl<S: PageStore> XRankEngine<S> {
         });
         let emetrics = EngineMetrics::new(&metrics);
         let slow_log = SlowQueryLog::new(&config.obs);
-        let limiter = InFlightLimiter::new(config.max_in_flight);
         let recorder = Arc::new(FlightRecorder::new(config.obs.recorder.clone()));
         XRankEngine {
             config,
@@ -960,7 +903,6 @@ impl<S: PageStore> XRankEngine<S> {
             metrics,
             emetrics,
             slow_log,
-            limiter,
             recorder,
             segment_series: Mutex::new(HashSet::new()),
         }

@@ -31,23 +31,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod compactor;
 mod engine;
 mod executor;
 mod manifest;
 mod persist;
 mod results;
-mod scrub;
 mod snapshot;
 mod telemetry;
 mod update;
 mod wal;
+mod worker;
 
-pub use compactor::{CompactionPolicy, Compactor};
 pub use engine::{AnswerNodes, EngineBuilder, EngineConfig, Strategy, XRankEngine};
 pub use executor::{AdmissionPolicy, QueryExecutor, QueryReply, QueryRequest};
 pub use results::{SearchHit, SearchResults};
-pub use scrub::{ScrubPolicy, Scrubber};
 pub use snapshot::Snapshot;
 pub use telemetry::{Explain, ObsConfig, SlowOpEntry, SlowQueryEntry};
 pub use update::{
@@ -55,6 +52,7 @@ pub use update::{
     UpdatableXRank, UpdateError,
 };
 pub use wal::{SyncPolicy, WalConfig, WalFault};
+pub use worker::{CompactionPolicy, Compactor, ScrubPolicy, Scrubber};
 pub use xrank_obs::{
     render_chrome_trace, render_chrome_trace_normalized, validate_chrome_trace, DegradeReason,
     FlightRecord, FlightRecorder, OpKind, OpOutcome, RecorderConfig, TraceCheck, TrackSummary,

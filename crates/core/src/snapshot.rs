@@ -15,12 +15,10 @@
 //! (copy-on-write tombstone sets), and compaction replaces whole
 //! segments, whose `Arc`s stay alive until the last pin drops.
 
-use crate::engine::{Strategy, XRankEngine};
-use crate::results::SearchResults;
+use crate::engine::XRankEngine;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
-use xrank_query::{QueryError, QueryOptions};
-use xrank_storage::{FileStore, MemStore, PageId, PageStore, SegmentId, StorageResult, PAGE_SIZE};
+use xrank_storage::{FileStore, PageId, PageStore, SegmentId, StorageResult, PAGE_SIZE};
 
 /// The source text of a live document, kept beside each segment so
 /// compaction can rebuild folded segments from scratch.
@@ -41,90 +39,13 @@ impl DocSource {
     }
 }
 
-/// A segment engine over either backing store: ephemeral pipelines build
-/// in-memory segments, durable pipelines build file-backed ones through
-/// the crash-safe staged-write machinery.
-pub(crate) enum AnyEngine {
-    /// In-memory segment (ephemeral pipeline).
-    Mem(XRankEngine<MemStore>),
-    /// File-backed segment (durable pipeline, crash-safe layout).
-    File(XRankEngine<FileStore>),
-}
-
-impl AnyEngine {
-    /// Concurrent-safe query against the segment's warm shared cache.
-    pub(crate) fn query(
-        &self,
-        query: &str,
-        strategy: Strategy,
-        opts: &QueryOptions,
-    ) -> Result<SearchResults, QueryError> {
-        match self {
-            AnyEngine::Mem(e) => e.query(query, strategy, opts),
-            AnyEngine::File(e) => e.query(query, strategy, opts),
-        }
-    }
-
-    /// Total physical pages across the segment's store files (0 for
-    /// in-memory segments — no device bytes to rot).
-    pub(crate) fn page_total(&self) -> u64 {
-        match self {
-            AnyEngine::Mem(_) => 0,
-            AnyEngine::File(e) => {
-                let store = e.pool().store();
-                (0..store.segment_count())
-                    .map(|s| store.page_count(SegmentId(s)) as u64)
-                    .sum()
-            }
-        }
-    }
-
-    /// Verifies the `flat`-th physical page (flat index across the store's
-    /// segment files in order): a direct read off the medium, bypassing
-    /// the page cache, so the checksum-and-trailer check exercises what is
-    /// actually on disk. The scrubber's unit of work.
-    pub(crate) fn verify_page(&self, flat: u64) -> StorageResult<()> {
-        match self {
-            AnyEngine::Mem(_) => Ok(()),
-            AnyEngine::File(e) => {
-                let store = e.pool().store();
-                let mut rest = flat;
-                for s in 0..store.segment_count() {
-                    let seg = SegmentId(s);
-                    let pages = store.page_count(seg) as u64;
-                    if rest < pages {
-                        let mut buf = vec![0u8; PAGE_SIZE];
-                        return store.read_page(PageId::new(seg, rest as u32), &mut buf);
-                    }
-                    rest -= pages;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Per-document rank slices (URI → scores in element-id order), the
-    /// warm-start seed compaction feeds the next build.
-    pub(crate) fn rank_slices(&self, into: &mut std::collections::HashMap<String, Vec<f64>>) {
-        let (collection, scores) = match self {
-            AnyEngine::Mem(e) => (e.collection(), &e.rank_result().scores),
-            AnyEngine::File(e) => (e.collection(), &e.rank_result().scores),
-        };
-        for doc in collection.docs() {
-            let lo = doc.root as usize;
-            let hi = lo + doc.element_count as usize;
-            into.insert(doc.uri.clone(), scores[lo..hi].to_vec());
-        }
-    }
-}
-
 /// A sealed, immutable segment: the engine, the documents it indexes, and
 /// a stable id tying it to its on-disk directory (`seg-<id>/`).
 pub(crate) struct Segment {
     /// Stable segment id (names the on-disk directory).
     pub id: u64,
     /// The sealed engine.
-    pub engine: AnyEngine,
+    pub engine: XRankEngine<FileStore>,
     /// Every document the segment indexes (URI → source), fixed at seal.
     pub docs: BTreeMap<String, DocSource>,
     /// Approximate source bytes (compaction sizing).
@@ -132,9 +53,49 @@ pub(crate) struct Segment {
 }
 
 impl Segment {
-    pub(crate) fn new(id: u64, engine: AnyEngine, docs: BTreeMap<String, DocSource>) -> Self {
+    pub(crate) fn new(
+        id: u64,
+        engine: XRankEngine<FileStore>,
+        docs: BTreeMap<String, DocSource>,
+    ) -> Self {
         let bytes = docs.values().map(DocSource::bytes).sum();
         Segment { id, engine, docs, bytes }
+    }
+
+    /// Total physical pages across the segment's store files.
+    pub(crate) fn page_total(&self) -> u64 {
+        let store = self.engine.pool().store();
+        (0..store.segment_count()).map(|s| store.page_count(SegmentId(s)) as u64).sum()
+    }
+
+    /// Verifies the `flat`-th physical page (flat index across the store's
+    /// segment files in order): a direct read off the medium, bypassing
+    /// the page cache, so the checksum-and-trailer check exercises what is
+    /// actually on disk. The scrubber's unit of work.
+    pub(crate) fn verify_page(&self, flat: u64) -> StorageResult<()> {
+        let store = self.engine.pool().store();
+        let mut rest = flat;
+        for s in 0..store.segment_count() {
+            let seg = SegmentId(s);
+            let pages = store.page_count(seg) as u64;
+            if rest < pages {
+                let mut buf = vec![0u8; PAGE_SIZE];
+                return store.read_page(PageId::new(seg, rest as u32), &mut buf);
+            }
+            rest -= pages;
+        }
+        Ok(())
+    }
+
+    /// Per-document rank slices (URI → scores in element-id order), the
+    /// warm-start seed compaction feeds the next build.
+    pub(crate) fn rank_slices(&self, into: &mut std::collections::HashMap<String, Vec<f64>>) {
+        let scores = &self.engine.rank_result().scores;
+        for doc in self.engine.collection().docs() {
+            let lo = doc.root as usize;
+            let hi = lo + doc.element_count as usize;
+            into.insert(doc.uri.clone(), scores[lo..hi].to_vec());
+        }
     }
 }
 
@@ -183,11 +144,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The empty initial snapshot.
-    pub(crate) fn empty() -> Self {
-        Snapshot { seq: 0, views: Vec::new() }
-    }
-
     /// The manifest sequence number this snapshot was published under
     /// (0 for the initial empty state).
     pub fn seq(&self) -> u64 {

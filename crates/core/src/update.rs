@@ -13,9 +13,8 @@
 //!
 //! * **adds** are staged and become searchable at
 //!   [`UpdatableXRank::commit`], which builds the *next segment* off to
-//!   the side (through the PR 3 staged-write + fsync + rename machinery
-//!   when the pipeline is durable) and publishes it with a single
-//!   manifest swap;
+//!   the side (through `build_persistent`'s staged-write + fsync + rename)
+//!   and publishes it with a single manifest swap;
 //! * **deletes** are immediate per-segment tombstones: hits from
 //!   tombstoned documents are filtered at presentation time (the Dewey
 //!   ID's leading document component identifies them) and their postings
@@ -41,11 +40,50 @@
 //!
 //! Element-granularity insertion (renumbering sibling Dewey IDs, paper's
 //! reference [32]) is future work here exactly as it was in the paper.
+//!
+//! The lifecycle, with the knobs and their defaults:
+//!
+//! ```no_run
+//! use std::sync::Arc;
+//! use std::time::Duration;
+//! use xrank_core::{
+//!     CompactionPolicy, Compactor, EngineConfig, ScrubPolicy, Scrubber, SyncPolicy,
+//!     UpdatableXRank, WalConfig,
+//! };
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let config = EngineConfig {
+//!     // WAL: enabled + fsync-per-append by default. GroupCommit(d)
+//!     // amortizes fsyncs (loss window <= d on a kill); Never leaves
+//!     // flushing to the OS; enabled: false restores pre-log semantics.
+//!     wal: WalConfig { enabled: true, sync: SyncPolicy::Always },
+//!     ..EngineConfig::default()
+//! };
+//! let index = Arc::new(UpdatableXRank::open("/tmp/idx", config)?);
+//! index.add_xml("doc-1", "<doc><t>hello</t></doc>")?; // staged
+//! let stats = index.commit()?; // sealed + published
+//! index.delete("doc-0")?; // tombstoned immediately
+//! let hits = index.search("hello", 10)?; // &self, never blocked
+//! let _compactor = Compactor::spawn(&index, CompactionPolicy::default());
+//! // Scrubber: how often, how many pages per chunk, and whether a
+//! // quarantined segment is rebuilt immediately or left for an operator.
+//! let _scrub = Scrubber::spawn(
+//!     &index,
+//!     ScrubPolicy {
+//!         interval: Duration::from_millis(250),
+//!         pages_per_chunk: 256,
+//!         auto_repair: true,
+//!     },
+//! );
+//! # let _ = (stats, hits);
+//! # Ok(())
+//! # }
+//! ```
 
-use crate::engine::{EngineBuilder, EngineConfig, Strategy};
+use crate::engine::{EngineBuilder, EngineConfig, Strategy, XRankEngine};
 use crate::manifest::{self, ManifestData, ManifestSegment};
 use crate::results::{SearchHit, SearchResults};
-use crate::snapshot::{AnyEngine, DocSource, Segment, SegmentView, Snapshot};
+use crate::snapshot::{DocSource, Segment, SegmentView, Snapshot};
 use crate::telemetry::{SlowOpEntry, SlowOpLog, UpdateMetrics};
 use crate::wal::{Wal, WalFault, WalRecord};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -57,7 +95,7 @@ use xrank_obs::{
     QueryTrace, Stage, Trace,
 };
 use xrank_query::{CancelToken, QueryError, QueryOptions};
-use xrank_storage::{FileStore, MemStore, StorageError};
+use xrank_storage::{FileStore, StorageError};
 
 /// Typed failure of an update-pipeline mutation. Queries keep their own
 /// [`QueryError`]; this covers `commit`/`compact`/`delete`/`open`, which
@@ -218,7 +256,7 @@ struct WriterState {
     next_seq: u64,
     next_seg: u64,
     crash: Option<CrashPoint>,
-    /// `Some` on durable pipelines with [`crate::WalConfig::enabled`]:
+    /// `Some` with [`crate::WalConfig::enabled`]:
     /// every accepted mutation is framed here *before* it is applied.
     wal: Option<Wal>,
 }
@@ -242,8 +280,8 @@ pub struct UpdatableXRank {
     config: EngineConfig,
     /// Per-segment engine config (pipeline-level obs owns the metrics).
     seg_config: EngineConfig,
-    /// `Some` for durable pipelines ([`UpdatableXRank::open`]).
-    dir: Option<PathBuf>,
+    /// The pipeline directory (`CURRENT`, manifests, `seg-<id>/`, log).
+    dir: PathBuf,
     /// The published snapshot. Writers swap the `Arc` under a brief write
     /// lock; readers clone it under a brief read lock and then never
     /// block again.
@@ -318,23 +356,16 @@ fn tombstone_live(views: &mut [SegmentView], uri: &str) -> bool {
     }
 }
 
-/// Rebuilds a sealed segment's engine store in place from its CRC-checked
-/// docs sidecar (cold build through the same staged-write + atomic-swap
-/// path as a fresh seal) — the boot-time self-repair primitive for a
-/// segment whose open-time checksum scan failed.
-fn rebuild_segment_store(
-    seg_dir: &std::path::Path,
-    docs: &BTreeMap<String, DocSource>,
-    seg_config: &EngineConfig,
-) -> Result<crate::engine::XRankEngine<FileStore>, UpdateError> {
-    let mut builder = EngineBuilder::with_config(seg_config.clone());
-    for (uri, src) in docs {
-        match src {
-            DocSource::Xml(xml) => builder.add_xml(uri, xml)?,
-            DocSource::Html(html) => builder.add_html(uri, html),
-        }
-    }
-    Ok(builder.build_persistent(seg_dir)?)
+/// Whether a segment's open error is damage that a rebuild from its docs
+/// sidecar heals: a failed checksum scan or undecodable meta
+/// (`InvalidData`), a truncated file (`UnexpectedEof`), a missing store
+/// (`NotFound`). Anything else — a permission error, fd exhaustion — says
+/// nothing about the segment, and rebuilding would replace an intact one
+/// (and re-rank a fold-built segment from a cold start), so the open fails
+/// instead.
+fn is_damage(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{InvalidData, NotFound, UnexpectedEof};
+    matches!(e.kind(), InvalidData | UnexpectedEof | NotFound)
 }
 
 /// Cap on the over-fetch doublings of the tombstone re-fill loop: with
@@ -343,80 +374,108 @@ fn rebuild_segment_store(
 const MAX_REFILL_DOUBLINGS: usize = 6;
 
 impl UpdatableXRank {
-    /// An empty, ephemeral (in-memory segments) updatable engine.
-    pub fn new(config: EngineConfig) -> Self {
-        let recorder = Arc::new(FlightRecorder::new(config.obs.recorder.clone()));
-        Self::assemble(config, None, Snapshot::empty(), 1, 1, BTreeMap::new(), None, recorder)
-    }
-
     /// Opens (or initializes) a durable pipeline rooted at `dir`:
     /// recovers the last published manifest (a valid `CURRENT` is
     /// authoritative), reopens every referenced segment with a full
     /// checksum scan — rebuilding any segment that scan condemns from its
-    /// CRC-checked docs sidecar — garbage-collects stranded pre-crash
-    /// files, replays the write-ahead log (re-staging every acknowledged
-    /// mutation the last publish did not cover), and resumes. A fresh
-    /// directory starts empty.
+    /// CRC-checked docs sidecar under a fresh id — replays the
+    /// write-ahead log (re-staging every acknowledged mutation the last
+    /// publish did not cover), publishes one recovery manifest if repair
+    /// or replay changed the published state, garbage-collects stranded
+    /// pre-crash files, and resumes. A fresh directory starts empty.
     pub fn open(dir: impl AsRef<std::path::Path>, config: EngineConfig) -> Result<Self, UpdateError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let recorder = Arc::new(FlightRecorder::new(config.obs.recorder.clone()));
-        let trace =
-            if recorder.is_enabled() { QueryTrace::enabled() } else { QueryTrace::disabled() };
-        let recovery_span = trace.span(Stage::Recovery);
         let published = manifest::load_published(&dir)?;
-        let (mut next_seq, next_seg) = manifest::next_counters(&dir, &published);
+        let (next_seq, next_seg) = manifest::next_counters(&dir, &published);
+        let (seq, segments) = published.map_or((0, Vec::new()), |m| (m.seq, m.segments));
 
         let mut seg_config = config.clone();
         seg_config.obs.metrics_enabled = false;
         seg_config.obs.recorder.enabled = false;
-
-        let (mut seq, mut views) = match &published {
-            None => (0, Vec::new()),
-            Some(m) => {
-                let mut views = Vec::with_capacity(m.segments.len());
-                for ms in &m.segments {
-                    let seg_dir = dir.join(manifest::segment_dir_name(ms.id));
-                    let docs = manifest::read_docs_sidecar(&seg_dir)?;
-                    let mut engine = match crate::engine::XRankEngine::<FileStore>::open(
-                        &seg_dir,
-                        seg_config.clone(),
-                    ) {
-                        Ok(engine) => engine,
-                        Err(damage) => {
-                            // The open-time checksum scan found the
-                            // at-rest corruption the online scrubber
-                            // hunts. Self-repair at boot: rebuild the
-                            // store from the intact sidecar, then serve.
-                            let span = trace.span(Stage::Repair);
-                            let rebuilt =
-                                rebuild_segment_store(&seg_dir, &docs, &seg_config)?;
-                            drop(span);
-                            recorder.record(
-                                OpKind::Repair,
-                                &format!("open-repair seg-{}: {damage}", ms.id),
-                                trace.origin(),
-                                OpOutcome::Ok,
-                                &Trace::default(),
-                            );
-                            rebuilt
-                        }
-                    };
-                    engine.set_recorder(Arc::clone(&recorder));
-                    let seg = Arc::new(Segment::new(ms.id, AnyEngine::File(engine), docs));
-                    views.push(SegmentView {
-                        seg,
-                        tombstones: Arc::new(ms.tombstones.iter().cloned().collect()),
-                    });
-                }
-                (m.seq, views)
-            }
+        let metrics = Arc::new(if config.obs.metrics_enabled {
+            MetricsRegistry::new()
+        } else {
+            MetricsRegistry::disabled()
+        });
+        let pipeline = UpdatableXRank {
+            seg_config,
+            dir,
+            current: RwLock::new(Arc::new(Snapshot { seq, views: Vec::new() })),
+            writer: Mutex::new(WriterState {
+                staged: BTreeMap::new(),
+                next_seq,
+                next_seg,
+                crash: None,
+                wal: None,
+            }),
+            umetrics: UpdateMetrics::new(&metrics),
+            metrics,
+            recorder: Arc::new(FlightRecorder::new(config.obs.recorder.clone())),
+            slow_op_log: SlowOpLog::new(&config.obs),
+            segment_series: Mutex::new(HashSet::new()),
+            quarantined: Mutex::new(HashSet::new()),
+            config,
         };
-        let live: Vec<u64> = views.iter().map(|v| v.seg.id).collect();
+        pipeline.recover(seq, segments)?;
+        Ok(pipeline)
+    }
+
+    /// Recovery, in order: collect stranded files, reopen (or
+    /// boot-repair) the published segments, replay the log, publish one
+    /// recovery manifest if either changed the published state, collect
+    /// again, and checkpoint the log.
+    fn recover(&self, seq: u64, segments: Vec<ManifestSegment>) -> Result<(), UpdateError> {
+        let trace =
+            if self.recorder.is_enabled() { QueryTrace::enabled() } else { QueryTrace::disabled() };
+        let recovery_span = trace.span(Stage::Recovery);
+        let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         {
+            // Stranded pre-crash files go first, so a never-published
+            // manifest cannot become the recovery manifest's fallback.
             let _gc = trace.span(Stage::Gc);
-            manifest::gc(&dir, seq, &live);
+            let ids: Vec<u64> = segments.iter().map(|ms| ms.id).collect();
+            manifest::gc(&self.dir, seq, &ids);
         }
+        let mut views = Vec::with_capacity(segments.len());
+        let mut condemned = Vec::new();
+        for ms in segments {
+            let seg_dir = self.dir.join(manifest::segment_dir_name(ms.id));
+            let docs = manifest::read_docs_sidecar(&seg_dir)?;
+            let seg = match XRankEngine::<FileStore>::open(&seg_dir, self.seg_config.clone()) {
+                Ok(mut engine) => {
+                    engine.set_recorder(Arc::clone(&self.recorder));
+                    Segment::new(ms.id, engine, docs)
+                }
+                Err(damage) if is_damage(&damage) => {
+                    // The open-time checksum scan found the at-rest
+                    // damage the online scrubber hunts: rebuild exactly
+                    // as `repair_segment` does, under a fresh id that the
+                    // recovery manifest below publishes.
+                    let new_id = w.next_seg;
+                    let span = trace.span(Stage::Repair);
+                    let engine = self.build_segment(new_id, &docs, None)?;
+                    drop(span);
+                    w.next_seg += 1;
+                    self.umetrics.scrub_repairs.inc();
+                    self.recorder.record(
+                        OpKind::Repair,
+                        &format!("open-repair seg-{} rebuilt as seg-{new_id}: {damage}", ms.id),
+                        trace.origin(),
+                        OpOutcome::Ok,
+                        &Trace::default(),
+                    );
+                    condemned.push(ms.id);
+                    Segment::new(new_id, engine, docs)
+                }
+                Err(e) => return Err(e.into()),
+            };
+            views.push(SegmentView {
+                seg: Arc::new(seg),
+                tombstones: Arc::new(ms.tombstones.into_iter().collect()),
+            });
+        }
+        let mut dirty = !condemned.is_empty();
 
         // Write-ahead-log replay: every intact record is an accepted
         // mutation; anything the last published manifest does not cover
@@ -427,12 +486,10 @@ impl UpdatableXRank {
         // content is already live published is skipped — both make replay
         // idempotent no matter where between append and checkpoint the
         // crash fell.
-        let mut staged: BTreeMap<String, DocSource> = BTreeMap::new();
-        let mut wal = None;
         let mut replayed = 0u64;
-        if config.wal.enabled {
+        if self.config.wal.enabled {
             let wal_span = trace.span(Stage::WalAppend);
-            let (mut log, records) = Wal::open(&dir, config.wal.sync)
+            let (log, records) = Wal::open(&self.dir, self.config.wal.sync)
                 .map_err(|e| UpdateError::WalAppend(StorageError::io("wal open", e)))?;
             replayed = records.len() as u64;
             let mut last: BTreeMap<String, WalRecord> = BTreeMap::new();
@@ -444,62 +501,47 @@ impl UpdatableXRank {
                 };
                 last.insert(uri, rec);
             }
-            let mut dirty = false;
             for rec in last.into_values() {
-                match rec {
-                    WalRecord::AddXml { uri, text } => {
-                        let src = DocSource::Xml(text);
-                        if !published_matches(&views, &uri, &src) {
-                            dirty |= tombstone_live(&mut views, &uri);
-                            staged.insert(uri, src);
-                        }
-                    }
-                    WalRecord::AddHtml { uri, text } => {
-                        let src = DocSource::Html(text);
-                        if !published_matches(&views, &uri, &src) {
-                            dirty |= tombstone_live(&mut views, &uri);
-                            staged.insert(uri, src);
-                        }
-                    }
+                let (uri, src) = match rec {
+                    WalRecord::AddXml { uri, text } => (uri, DocSource::Xml(text)),
+                    WalRecord::AddHtml { uri, text } => (uri, DocSource::Html(text)),
                     WalRecord::Delete { uri } => {
                         dirty |= tombstone_live(&mut views, &uri);
+                        continue;
                     }
+                };
+                if !published_matches(&views, &uri, &src) {
+                    dirty |= tombstone_live(&mut views, &uri);
+                    w.staged.insert(uri, src);
                 }
             }
-            if dirty {
-                // Replayed deletes/replaces tombstoned documents the
-                // last manifest still lists as live: publish one
-                // recovery manifest so those tombstones are durable
-                // before anything is served.
-                let data = ManifestData {
-                    seq: next_seq,
-                    segments: views
-                        .iter()
-                        .map(|v| {
-                            let mut tombstones: Vec<String> =
-                                v.tombstones.iter().cloned().collect();
-                            tombstones.sort_unstable();
-                            ManifestSegment { id: v.seg.id, tombstones }
-                        })
-                        .collect(),
-                };
-                manifest::write_manifest(&dir, &data)?;
-                manifest::publish_current(&dir, next_seq)?;
-                seq = next_seq;
-                next_seq += 1;
-                manifest::gc(&dir, seq, &live);
-            }
-            // The published layout now covers everything beyond the
-            // still-staged docs: shrink the log (best-effort — a failed
-            // rewrite leaves the larger but still-correct one).
-            let _ = log.checkpoint(&staged);
-            wal = Some(log);
+            w.wal = Some(log);
             drop(wal_span);
         }
 
+        let segment_count = views.len() as u64;
+        let seq = if dirty {
+            // Replayed tombstones and boot-repaired segments become
+            // durable in one recovery manifest before anything is served.
+            self.publish_locked(&mut w, views, &trace)?
+        } else {
+            self.install(&w, Snapshot { seq, views });
+            seq
+        };
+        // GC keeps the previous manifest's segments as a crash fallback,
+        // and that manifest still names the condemned ones; their pages
+        // are damaged, so they go now.
+        for id in condemned {
+            let _ = std::fs::remove_dir_all(self.dir.join(manifest::segment_dir_name(id)));
+        }
+        // The published layout now covers everything beyond the
+        // still-staged docs: shrink the log.
+        self.wal_checkpoint(&mut w);
+
         drop(recovery_span);
+        self.umetrics.wal_replayed.add(replayed);
         if trace.is_enabled() {
-            trace.event(Stage::Recovery, EventData::Count { what: "segments", n: live.len() as u64 });
+            trace.event(Stage::Recovery, EventData::Count { what: "segments", n: segment_count });
             if replayed > 0 {
                 trace.event(
                     Stage::WalAppend,
@@ -507,7 +549,7 @@ impl UpdatableXRank {
                 );
             }
             let origin = trace.origin();
-            recorder.record(
+            self.recorder.record(
                 OpKind::Recovery,
                 &format!("recovery seq={seq}"),
                 origin,
@@ -515,61 +557,7 @@ impl UpdatableXRank {
                 &trace.finish(),
             );
         }
-        let pipeline = Self::assemble(
-            config,
-            Some(dir),
-            Snapshot { seq, views },
-            next_seq,
-            next_seg,
-            staged,
-            wal,
-            recorder,
-        );
-        pipeline.umetrics.wal_replayed.add(replayed);
-        Ok(pipeline)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        config: EngineConfig,
-        dir: Option<PathBuf>,
-        snapshot: Snapshot,
-        next_seq: u64,
-        next_seg: u64,
-        staged: BTreeMap<String, DocSource>,
-        wal: Option<Wal>,
-        recorder: Arc<FlightRecorder>,
-    ) -> Self {
-        let mut seg_config = config.clone();
-        seg_config.obs.metrics_enabled = false;
-        seg_config.obs.recorder.enabled = false;
-        let metrics = Arc::new(if config.obs.metrics_enabled {
-            MetricsRegistry::new()
-        } else {
-            MetricsRegistry::disabled()
-        });
-        let umetrics = UpdateMetrics::new(&metrics);
-        umetrics.publish_shape(&snapshot, staged.len());
-        let slow_op_log = SlowOpLog::new(&config.obs);
-        UpdatableXRank {
-            config,
-            seg_config,
-            dir,
-            current: RwLock::new(Arc::new(snapshot)),
-            writer: Mutex::new(WriterState {
-                staged,
-                next_seq,
-                next_seg,
-                crash: None,
-                wal,
-            }),
-            metrics,
-            umetrics,
-            recorder,
-            slow_op_log,
-            segment_series: Mutex::new(HashSet::new()),
-            quarantined: Mutex::new(HashSet::new()),
-        }
+        Ok(())
     }
 
     /// Pins the current published snapshot: the returned lease reads a
@@ -615,8 +603,8 @@ impl UpdatableXRank {
     }
 
     /// Tombstones a document immediately (also cancels a staged add).
-    /// On a durable pipeline the tombstone is published through a new
-    /// manifest generation before this returns. Returns whether anything
+    /// The tombstone is published through a new manifest generation
+    /// before this returns. Returns whether anything
     /// was removed.
     pub fn delete(&self, uri: &str) -> Result<bool, UpdateError> {
         let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
@@ -924,7 +912,7 @@ impl UpdatableXRank {
             for (uri, src) in v.live_docs() {
                 docs.insert(uri.clone(), src.clone());
             }
-            v.seg.engine.rank_slices(&mut seed);
+            v.seg.rank_slices(&mut seed);
         }
         for (uri, src) in staged {
             docs.insert(uri, src);
@@ -941,10 +929,7 @@ impl UpdatableXRank {
             let engine = self.build_segment(seg_id, &docs, rank_seeded.then_some(seed))?;
             drop(span);
             w.next_seg += 1;
-            rank_iterations = match &engine {
-                AnyEngine::Mem(e) => e.rank_result().iterations,
-                AnyEngine::File(e) => e.rank_result().iterations,
-            };
+            rank_iterations = engine.rank_result().iterations;
             new_view = Some(SegmentView::fresh(Arc::new(Segment::new(seg_id, engine, docs.clone()))));
         }
         w.crash_if_armed(CrashPoint::AfterSegmentSeal)?;
@@ -989,16 +974,16 @@ impl UpdatableXRank {
         })
     }
 
-    /// Builds one sealed segment over `docs` — in memory for ephemeral
-    /// pipelines, through the crash-safe staged-write layout under
-    /// `dir/seg-<id>/` for durable ones (document sidecar first, then the
-    /// engine store, so a sealed directory is always complete).
+    /// Builds one sealed segment over `docs` through the crash-safe
+    /// staged-write layout under `dir/seg-<id>/` (document sidecar first,
+    /// then the engine store, so a sealed directory is always complete).
+    /// Commits, folds, repairs and boot repairs all seal through here.
     fn build_segment(
         &self,
         seg_id: u64,
         docs: &BTreeMap<String, DocSource>,
         seed: Option<HashMap<String, Vec<f64>>>,
-    ) -> Result<AnyEngine, UpdateError> {
+    ) -> Result<XRankEngine<FileStore>, UpdateError> {
         let mut builder = EngineBuilder::with_config(self.seg_config.clone());
         if let Some(seed) = seed {
             builder.set_rank_seed(seed);
@@ -1009,28 +994,18 @@ impl UpdatableXRank {
                 DocSource::Html(html) => builder.add_html(uri, html),
             }
         }
-        match &self.dir {
-            None => {
-                let mut engine = builder.build_with_store(MemStore::new())?;
-                engine.set_recorder(Arc::clone(&self.recorder));
-                Ok(AnyEngine::Mem(engine))
-            }
-            Some(dir) => {
-                let seg_dir = dir.join(manifest::segment_dir_name(seg_id));
-                std::fs::create_dir_all(&seg_dir)?;
-                manifest::write_docs_sidecar(&seg_dir, docs)?;
-                let mut engine = builder.build_persistent(&seg_dir)?;
-                engine.set_recorder(Arc::clone(&self.recorder));
-                Ok(AnyEngine::File(engine))
-            }
-        }
+        let seg_dir = self.dir.join(manifest::segment_dir_name(seg_id));
+        std::fs::create_dir_all(&seg_dir)?;
+        manifest::write_docs_sidecar(&seg_dir, docs)?;
+        let mut engine = builder.build_persistent(&seg_dir)?;
+        engine.set_recorder(Arc::clone(&self.recorder));
+        Ok(engine)
     }
 
     /// Publishes `views` as the next snapshot: durable manifest write +
-    /// atomic `CURRENT` swap (durable pipelines), then the in-memory
-    /// `Arc` swap, shape gauges, and best-effort GC. The caller holds the
-    /// writer lock; readers are never blocked (they only take the
-    /// `current` read lock for an `Arc` clone).
+    /// atomic `CURRENT` swap, then [`UpdatableXRank::install`] and GC.
+    /// The caller holds the writer lock; readers are never blocked (they only
+    /// take the `current` read lock for an `Arc` clone).
     fn publish_locked(
         &self,
         w: &mut WriterState,
@@ -1039,57 +1014,52 @@ impl UpdatableXRank {
     ) -> Result<u64, UpdateError> {
         let seq = w.next_seq;
         let span = trace.span(Stage::ManifestSwap);
-        if let Some(dir) = &self.dir {
-            let data = ManifestData {
-                seq,
-                segments: views
-                    .iter()
-                    .map(|v| {
-                        let mut tombstones: Vec<String> =
-                            v.tombstones.iter().cloned().collect();
-                        tombstones.sort_unstable();
-                        ManifestSegment { id: v.seg.id, tombstones }
-                    })
-                    .collect(),
-            };
-            manifest::write_manifest(dir, &data)?;
-            w.crash_if_armed(CrashPoint::AfterManifestWrite)?;
-            manifest::publish_current(dir, seq)?;
-        } else {
-            w.crash_if_armed(CrashPoint::AfterManifestWrite)?;
-        }
+        let data = ManifestData {
+            seq,
+            segments: views
+                .iter()
+                .map(|v| {
+                    let mut tombstones: Vec<String> = v.tombstones.iter().cloned().collect();
+                    tombstones.sort_unstable();
+                    ManifestSegment { id: v.seg.id, tombstones }
+                })
+                .collect(),
+        };
+        manifest::write_manifest(&self.dir, &data)?;
+        w.crash_if_armed(CrashPoint::AfterManifestWrite)?;
+        manifest::publish_current(&self.dir, seq)?;
         trace.event(Stage::ManifestSwap, EventData::Count { what: "manifest_seq", n: seq });
         drop(span);
         w.next_seq = seq + 1;
         // Durably published; a kill here loses only the in-memory install,
         // which reopening reconstructs from CURRENT.
         w.crash_if_armed(CrashPoint::AfterPublish)?;
-
-        let snap = Arc::new(Snapshot { seq, views });
-        self.umetrics.publish_shape(&snap, w.staged.len());
-        let live: Vec<u64> = snap.views.iter().map(|v| v.seg.id).collect();
-        *self.current.write().unwrap_or_else(|e| e.into_inner()) = snap;
-        if let Some(dir) = &self.dir {
-            // GC is its own flight-recorder op: it runs after the swap is
-            // visible and its cost should not be blamed on the publish span.
-            let gc_trace = if self.recorder.is_enabled() {
-                QueryTrace::enabled()
-            } else {
-                QueryTrace::disabled()
-            };
-            let gc_origin = gc_trace.origin();
-            let gc_span = gc_trace.span(Stage::Gc);
-            manifest::gc(dir, seq, &live);
-            drop(gc_span);
-            self.recorder.record(
-                OpKind::Gc,
-                &format!("gc seq={seq}"),
-                gc_origin,
-                OpOutcome::Ok,
-                &gc_trace.finish(),
-            );
-        }
+        let live: Vec<u64> = views.iter().map(|v| v.seg.id).collect();
+        self.install(w, Snapshot { seq, views });
+        // GC is its own flight-recorder op: it runs after the swap is
+        // visible and its cost should not be blamed on the publish span.
+        let gc_trace =
+            if self.recorder.is_enabled() { QueryTrace::enabled() } else { QueryTrace::disabled() };
+        let gc_origin = gc_trace.origin();
+        let gc_span = gc_trace.span(Stage::Gc);
+        manifest::gc(&self.dir, seq, &live);
+        drop(gc_span);
+        self.recorder.record(
+            OpKind::Gc,
+            &format!("gc seq={seq}"),
+            gc_origin,
+            OpOutcome::Ok,
+            &gc_trace.finish(),
+        );
         Ok(seq)
+    }
+
+    /// Makes `snap` the snapshot readers pin: shape gauges, then the
+    /// `Arc` swap.
+    fn install(&self, w: &WriterState, snap: Snapshot) {
+        let snap = Arc::new(snap);
+        self.umetrics.publish_shape(&snap, w.staged.len());
+        *self.current.write().unwrap_or_else(|e| e.into_inner()) = snap;
     }
 
     /// Arms a deterministic crash point: the next mutation that reaches
@@ -1184,7 +1154,7 @@ impl UpdatableXRank {
             if self.is_quarantined(v.seg.id) {
                 continue;
             }
-            let total = v.seg.engine.page_total();
+            let total = v.seg.page_total();
             let start = if v.seg.id == resume_seg { resume_page.min(total) } else { 0 };
             for flat in start..total {
                 if budget == 0 {
@@ -1195,7 +1165,7 @@ impl UpdatableXRank {
                 }
                 budget -= 1;
                 report.pages_scanned += 1;
-                if v.seg.engine.verify_page(flat).is_err() {
+                if v.seg.verify_page(flat).is_err() {
                     self.quarantine(v.seg.id);
                     report.corrupt_segments.push(v.seg.id);
                     trace.event(
@@ -1548,4 +1518,40 @@ enum FoldScope {
     Everything,
     /// Only segments at most this many source bytes (background merge).
     SmallerThan(u64),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::is_damage;
+    use std::io::{Error, ErrorKind};
+    use xrank_storage::{PageId, SegmentId, StorageError};
+
+    /// Boot repair rebuilds a segment only when its open failed on the
+    /// segment's own bytes; an environment fault fails the open.
+    #[test]
+    fn boot_repair_classifies_only_damage_as_rebuildable() {
+        let checksum = StorageError::ChecksumMismatch {
+            id: PageId::new(SegmentId(0), 3),
+            stored: 1,
+            computed: 2,
+        };
+        let damage = [
+            Error::from(checksum),
+            Error::from(StorageError::TornWrite { id: PageId::new(SegmentId(1), 0) }),
+            Error::from(ErrorKind::UnexpectedEof),
+            Error::new(ErrorKind::NotFound, "no xrank index under seg-00000001"),
+        ];
+        for e in &damage {
+            assert!(is_damage(e), "{e} must trigger a rebuild");
+        }
+        let environment = [
+            Error::from(ErrorKind::PermissionDenied),
+            Error::from_raw_os_error(24), // EMFILE: fd exhaustion
+            Error::from(StorageError::io("read page", Error::from(ErrorKind::Interrupted))),
+            Error::other("device busy"),
+        ];
+        for e in &environment {
+            assert!(!is_damage(e), "{e} must fail the open, not rebuild");
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! Overload-protection suite: retry with backoff, circuit breaking,
-//! prompt executor shutdown, graceful degradation through the engine
-//! facade, and the engine-level in-flight backstop.
+//! prompt executor shutdown, and graceful degradation through the engine
+//! facade.
 //!
 //! Everything runs over a [`FaultStore`] (deterministic fault injection)
 //! or a plain in-memory engine — no timing-based flakiness beyond the
@@ -276,30 +276,4 @@ fn degraded_query_reports_trigger_in_explain_and_metrics() {
         e.query("shared words", Strategy::Dil, &hard),
         Err(QueryError::Timeout)
     ));
-}
-
-/// The engine-level max-in-flight backstop bounds concurrency without
-/// deadlocking: more threads than permits all complete.
-#[test]
-fn max_in_flight_backstop_serves_all_callers() {
-    let mut b = EngineBuilder::with_config(EngineConfig {
-        max_in_flight: 2,
-        ..Default::default()
-    });
-    for i in 0..20 {
-        b.add_xml(&format!("d{i}"), &format!("<r><a>shared words {i}</a></r>")).unwrap();
-    }
-    let e = Arc::new(b.build());
-    let handles: Vec<_> = (0..8)
-        .map(|_| {
-            let e = Arc::clone(&e);
-            std::thread::spawn(move || {
-                let opts = e.config().query.clone();
-                e.query("shared words", Strategy::Dil, &opts).unwrap().hits.len()
-            })
-        })
-        .collect();
-    for h in handles {
-        assert!(h.join().unwrap() > 0);
-    }
 }

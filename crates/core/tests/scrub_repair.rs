@@ -19,7 +19,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xrank_core::{
-    EngineConfig, ScrubCursor, ScrubPolicy, Scrubber, SearchResults, UpdatableXRank,
+    CrashPoint, EngineConfig, OpKind, ScrubCursor, ScrubPolicy, Scrubber, SearchResults,
+    UpdatableXRank, UpdateError,
 };
 use xrank_query::QueryError;
 use xrank_storage::StorageError;
@@ -353,5 +354,86 @@ fn reopen_repairs_rotted_segment_before_serving() {
     let e = UpdatableXRank::open(&dir, EngineConfig::default()).unwrap();
     assert!(uris(&e, "alpha").contains("a"), "rebuilt at open");
     assert_eq!(e.scrub_full().corrupt_segments, Vec::<u64>::new(), "store is clean again");
+    assert_eq!(e.metrics().snapshot().counter("xrank_scrub_repairs_total"), 1);
+    drop(e);
+
+    // The repair was published, not just installed: the next open finds
+    // the rebuilt segment through the manifest.
+    let e = UpdatableXRank::open(&dir, EngineConfig::default()).unwrap();
+    assert!(uris(&e, "alpha").contains("a"), "rebuilt segment survives a reopen");
+    assert_eq!(e.metrics().snapshot().counter("xrank_scrub_repairs_total"), 0);
+    drop(e);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every `MANIFEST-<seq>` file in the pipeline directory, ascending.
+fn manifest_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("MANIFEST-"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// Boot repair and WAL replay publish together: a delete whose publish
+/// died after its manifest write comes back from the log, the rotted
+/// segment is rebuilt under a fresh id that keeps the old tombstones and
+/// serves bit-identical rankings, both land in one recovery manifest,
+/// and the condemned directory is collected. A second reopen then has
+/// nothing to repair and nothing to publish.
+#[test]
+fn boot_repair_and_wal_replay_share_one_recovery_manifest() {
+    let dir = tmp_dir("boot-wal");
+    let (victim, before, seq) = {
+        let e = UpdatableXRank::open(&dir, EngineConfig::default()).unwrap();
+        e.add_xml(
+            "workshop",
+            r#"<workshop><paper><title>XQL and Proximal Nodes</title>
+               <body>At first sight the XQL query language looks</body></paper></workshop>"#,
+        )
+        .unwrap();
+        e.add_xml("dead", &doc("ghostly")).unwrap();
+        e.add_xml("doomed", &doc("doomed")).unwrap();
+        e.commit().unwrap();
+        e.delete("dead").unwrap(); // published tombstone
+        let before = e.search("xql language", 10).unwrap();
+        assert!(!before.hits.is_empty());
+        let seq = e.pin().seq();
+        e.inject_crash(CrashPoint::AfterManifestWrite);
+        assert!(matches!(
+            e.delete("doomed"),
+            Err(UpdateError::InjectedCrash(CrashPoint::AfterManifestWrite))
+        ));
+        (only_seg_id(&dir), before, seq)
+    };
+    corrupt_first_page(&dir, victim);
+
+    let e = UpdatableXRank::open(&dir, EngineConfig::default()).unwrap();
+    let found = uris(&e, "shared corpus");
+    assert!(!found.contains("doomed"), "replayed delete applies: {found:?}");
+    assert!(!found.contains("dead"), "old tombstone survives the rebuild: {found:?}");
+    assert_eq!(e.tombstone_count(), 2);
+    let rebuilt = only_seg_id(&dir); // the condemned directory is gone
+    assert!(rebuilt > victim, "rebuilt under a fresh id: {rebuilt} vs {victim}");
+    assert_identical(&before, &e.search("xql language", 10).unwrap(), "boot-repaired rankings");
+    // The crashed delete stranded MANIFEST-(seq+1); recovery published
+    // exactly one manifest above it.
+    assert_eq!(e.pin().seq(), seq + 2, "one recovery manifest");
+    assert_eq!(e.metrics().snapshot().counter("xrank_scrub_repairs_total"), 1);
+    let repairs = e.recorder().records().into_iter().filter(|r| r.kind == OpKind::Repair);
+    assert_eq!(repairs.count(), 1, "the boot repair is on the timeline");
+    let manifests = manifest_files(&dir);
+    drop(e);
+
+    let e = UpdatableXRank::open(&dir, EngineConfig::default()).unwrap();
+    assert_eq!(e.metrics().snapshot().counter("xrank_scrub_repairs_total"), 0);
+    assert_eq!(e.pin().seq(), seq + 2, "second reopen publishes nothing");
+    assert_eq!(manifest_files(&dir), manifests);
+    assert_eq!(only_seg_id(&dir), rebuilt);
+    assert_identical(&before, &e.search("xql language", 10).unwrap(), "after second reopen");
+    drop(e);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -4,10 +4,12 @@
 //! timeline, and the exported trace-event JSON is structurally valid and
 //! — under normalized rendering — byte-for-byte deterministic.
 
+mod common;
+
+use common::temp_pipeline;
 use std::time::Duration;
 use xrank_core::{
     render_chrome_trace_normalized, validate_chrome_trace, EngineConfig, ObsConfig, OpKind,
-    UpdatableXRank,
 };
 
 /// The paper's Figure 1 / Section 4.2.2 workshop-proceedings example.
@@ -39,12 +41,12 @@ fn quiet_thresholds() -> ObsConfig {
     }
 }
 
-/// Runs the worked example through a fresh ephemeral pipeline and
+/// Runs the worked example through a fresh pipeline and
 /// returns the normalized trace dump: identical operation sequences must
 /// produce identical bytes.
 fn run_scenario() -> String {
     let config = EngineConfig { obs: quiet_thresholds(), ..Default::default() };
-    let e = UpdatableXRank::new(config);
+    let e = temp_pipeline(config);
     e.add_xml("workshop", WORKSHOP).unwrap();
     e.commit().unwrap();
     e.search("xql language", 10).unwrap();
@@ -85,7 +87,7 @@ fn worked_example_dump_validates_with_every_op_kind_on_the_timeline() {
 #[test]
 fn recorder_orders_queries_and_background_ops_on_one_timeline() {
     let config = EngineConfig { obs: quiet_thresholds(), ..Default::default() };
-    let e = UpdatableXRank::new(config);
+    let e = temp_pipeline(config);
     e.add_xml("workshop", WORKSHOP).unwrap();
     e.commit().unwrap();
     e.search("xql language", 10).unwrap();
@@ -127,7 +129,7 @@ fn slow_op_log_captures_commits_and_compactions() {
         },
         ..Default::default()
     };
-    let e = UpdatableXRank::new(config);
+    let e = temp_pipeline(config);
     e.add_xml("workshop", WORKSHOP).unwrap();
     e.commit().unwrap();
     e.add_xml("doc2", "<doc><body>second body</body></doc>").unwrap();
@@ -150,7 +152,7 @@ fn slow_op_log_captures_commits_and_compactions() {
 
 #[test]
 fn per_segment_gauges_retire_when_compaction_drops_segments() {
-    let e = UpdatableXRank::new(EngineConfig::default());
+    let e = temp_pipeline(EngineConfig::default());
     e.add_xml("a", "<doc><body>alpha text</body></doc>").unwrap();
     e.commit().unwrap();
     e.add_xml("b", "<doc><body>beta text</body></doc>").unwrap();
@@ -176,7 +178,7 @@ fn per_segment_gauges_retire_when_compaction_drops_segments() {
 fn disabled_recorder_keeps_queries_untraced() {
     let mut config = EngineConfig::default();
     config.obs.recorder.enabled = false;
-    let e = UpdatableXRank::new(config);
+    let e = temp_pipeline(config);
     e.add_xml("workshop", WORKSHOP).unwrap();
     e.commit().unwrap();
     e.search("xql language", 10).unwrap();

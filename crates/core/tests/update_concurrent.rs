@@ -3,10 +3,15 @@
 //! compactions publish new snapshots underneath them, and the background
 //! [`Compactor`] folds segments and shuts down cleanly.
 
+mod common;
+
+use common::temp_pipeline;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xrank_core::{CompactionPolicy, Compactor, EngineConfig, UpdatableXRank};
+use xrank_core::{
+    CompactionPolicy, Compactor, EngineConfig, ScrubPolicy, Scrubber, UpdatableXRank,
+};
 
 fn doc(word: &str, i: usize) -> String {
     format!(
@@ -17,7 +22,7 @@ fn doc(word: &str, i: usize) -> String {
 
 #[test]
 fn readers_run_uninterrupted_through_commits_and_compactions() {
-    let e = Arc::new(UpdatableXRank::new(EngineConfig::default()));
+    let e = temp_pipeline(EngineConfig::default());
     e.add_xml("seed", &doc("seed", 0)).unwrap();
     e.commit().unwrap();
 
@@ -30,7 +35,7 @@ fn readers_run_uninterrupted_through_commits_and_compactions() {
         // publish sees either the old snapshot or the new one, never a
         // mixture, and "seed" is live in all of them.
         for _ in 0..4 {
-            let e = Arc::clone(&e);
+            let e = Arc::clone(&e.index);
             let stop = Arc::clone(&stop);
             let searches = Arc::clone(&searches);
             scope.spawn(move || {
@@ -71,7 +76,7 @@ fn readers_run_uninterrupted_through_commits_and_compactions() {
 
 #[test]
 fn pinned_snapshot_outlives_compaction_of_its_segments() {
-    let e = UpdatableXRank::new(EngineConfig::default());
+    let e = temp_pipeline(EngineConfig::default());
     e.add_xml("a", &doc("alpha", 1)).unwrap();
     e.commit().unwrap();
     e.add_xml("b", &doc("beta", 2)).unwrap();
@@ -86,8 +91,8 @@ fn pinned_snapshot_outlives_compaction_of_its_segments() {
     e.add_xml("c", &doc("gamma", 3)).unwrap();
     e.commit().unwrap();
 
-    // The pinned snapshot still reads its (now superseded, ephemeral)
-    // segments: two segments, no tombstones, doc "a" alive.
+    // The pinned snapshot still reads its (now superseded) segments:
+    // two segments, no tombstones, doc "a" alive.
     assert_eq!(pin.segment_count(), 2);
     assert_eq!(pin.live_doc_count(), 2);
     assert_eq!(e.doc_count(), 2); // b, c
@@ -96,13 +101,13 @@ fn pinned_snapshot_outlives_compaction_of_its_segments() {
 
 #[test]
 fn background_compactor_folds_segments_and_shuts_down() {
-    let e = Arc::new(UpdatableXRank::new(EngineConfig::default()));
+    let e = temp_pipeline(EngineConfig::default());
     let policy = CompactionPolicy {
         max_segments: 3,
         small_bytes: 1 << 20,
         interval: Duration::from_millis(20),
     };
-    let mut compactor = Compactor::spawn(&e, policy);
+    let mut compactor = Compactor::spawn(&e.index, policy);
 
     for i in 0..6 {
         e.add_xml(&format!("d{i}"), &doc("alpha", i)).unwrap();
@@ -138,9 +143,9 @@ fn background_compactor_folds_segments_and_shuts_down() {
 
 #[test]
 fn dropping_the_compactor_joins_the_worker() {
-    let e = Arc::new(UpdatableXRank::new(EngineConfig::default()));
+    let e = temp_pipeline(EngineConfig::default());
     {
-        let _compactor = Compactor::spawn(&e, CompactionPolicy::default());
+        let _compactor = Compactor::spawn(&e.index, CompactionPolicy::default());
         e.add_xml("a", &doc("alpha", 1)).unwrap();
         e.commit().unwrap();
     } // Drop shuts the worker down; must not hang or panic.
@@ -151,10 +156,10 @@ fn dropping_the_compactor_joins_the_worker() {
 fn concurrent_commit_attempts_serialize_without_corruption() {
     // Two writer threads race commits of distinct documents; the writer
     // mutex serializes them, and both publishes must survive.
-    let e = Arc::new(UpdatableXRank::new(EngineConfig::default()));
+    let e = temp_pipeline(EngineConfig::default());
     std::thread::scope(|scope| {
         for t in 0..2 {
-            let e = Arc::clone(&e);
+            let e = Arc::clone(&e.index);
             scope.spawn(move || {
                 for i in 0..4 {
                     e.add_xml(&format!("w{t}-{i}"), &doc("alpha", i)).unwrap();
@@ -168,4 +173,43 @@ fn concurrent_commit_attempts_serialize_without_corruption() {
     let uris: std::collections::HashSet<&str> =
         res.hits.iter().map(|h| h.doc_uri.as_str()).collect();
     assert_eq!(uris.len(), 8, "all racing commits visible: {uris:?}");
+}
+
+/// Neither worker keeps the pipeline alive: each upgrades its `Weak` for
+/// one tick at a time, so once the last user `Arc` drops, a `Weak` the
+/// test holds stops upgrading within one nudge, and both handles still
+/// shut down cleanly afterwards.
+#[test]
+fn workers_do_not_keep_the_pipeline_alive() {
+    let dir = std::env::temp_dir().join(format!("xrank-weak-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let e = Arc::new(UpdatableXRank::open(&dir, EngineConfig::default()).unwrap());
+    for i in 0..3 {
+        e.add_xml(&format!("d{i}"), &doc("alpha", i)).unwrap();
+        e.commit().unwrap();
+    }
+    // Intervals far beyond the test: the workers wake only on nudges.
+    let idle = Duration::from_secs(3600);
+    let policy = CompactionPolicy { max_segments: 1, interval: idle, ..Default::default() };
+    let mut compactor = Compactor::spawn(&e, policy);
+    let mut scrubber = Scrubber::spawn(&e, ScrubPolicy { interval: idle, ..Default::default() });
+    compactor.nudge();
+    scrubber.nudge();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while e.segment_count() > 1 {
+        assert!(std::time::Instant::now() < deadline, "compactor never ran a tick");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let weak = Arc::downgrade(&e);
+    drop(e);
+    compactor.nudge();
+    scrubber.nudge();
+    while weak.upgrade().is_some() {
+        assert!(std::time::Instant::now() < deadline, "a worker kept the pipeline alive");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    compactor.shutdown();
+    scrubber.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,14 +1,17 @@
 //! Tests for document-granularity updates (Section 4.5), the segmented
 //! pipeline semantics, and disjunctive search.
 
+mod common;
+
+use common::{temp_pipeline, TempPipeline};
 use xrank_core::{EngineBuilder, EngineConfig, UpdatableXRank};
 
 fn doc(word: &str) -> String {
     format!("<doc><title>{word} item</title><body>shared corpus text about {word}</body></doc>")
 }
 
-fn engine_with(docs: &[(&str, &str)]) -> UpdatableXRank {
-    let e = UpdatableXRank::new(EngineConfig::default());
+fn engine_with(docs: &[(&str, &str)]) -> TempPipeline {
+    let e = temp_pipeline(EngineConfig::default());
     for (uri, word) in docs {
         e.add_xml(uri, &doc(word)).unwrap();
     }
@@ -18,7 +21,7 @@ fn engine_with(docs: &[(&str, &str)]) -> UpdatableXRank {
 
 #[test]
 fn staged_docs_invisible_until_commit() {
-    let e = UpdatableXRank::new(EngineConfig::default());
+    let e = temp_pipeline(EngineConfig::default());
     e.add_xml("a", &doc("alpha")).unwrap();
     assert_eq!(e.staged_count(), 1);
     assert!(e.search("alpha", 10).unwrap().hits.is_empty(), "not yet committed");
@@ -156,7 +159,7 @@ fn compaction_warm_starts_elem_rank() {
 
 #[test]
 fn merge_small_folds_only_small_segments() {
-    let e = UpdatableXRank::new(EngineConfig::default());
+    let e = temp_pipeline(EngineConfig::default());
     // One big segment...
     let big: String = (0..40).map(|i| format!("<s>filler words number {i}</s>")).collect();
     e.add_xml("big", &format!("<doc>{big}</doc>")).unwrap();
@@ -177,7 +180,7 @@ fn merge_small_folds_only_small_segments() {
 
 #[test]
 fn invalid_xml_rejected_at_add_time() {
-    let e = UpdatableXRank::new(EngineConfig::default());
+    let e = temp_pipeline(EngineConfig::default());
     assert!(e.add_xml("bad", "<unclosed>").is_err());
     assert_eq!(e.doc_count(), 0);
 }
@@ -199,7 +202,7 @@ fn top_k_refills_past_tombstoned_documents() {
     // the top of the merged stream; after tombstoning it, the requested k
     // live hits must still come back (the naive fixed over-fetch used to
     // underfill here).
-    let e = UpdatableXRank::new(EngineConfig::default());
+    let e = temp_pipeline(EngineConfig::default());
     // Every document has the same shape (64 <p> under the root), so every
     // matching element carries the same ElemRank and scores tie exactly;
     // the dewey tie-break then puts the hot doc's 64 hits ahead of the
