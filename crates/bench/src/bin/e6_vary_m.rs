@@ -1,5 +1,5 @@
 //! E6 — the **vary-number-of-results** experiment (paper, Section 5.4 /
-//! technical report [18]): "the performance of DIL remains about the same
+//! technical report \[18\]): "the performance of DIL remains about the same
 //! because it always scans the entire inverted lists. The performance of
 //! RDIL, however, decreases with an increasing query result size because
 //! RDIL has to scan more of the inverted lists."

@@ -17,7 +17,7 @@ use xrank_obs::{
 use xrank_query::{dil_query, hdil_query, naive_query, rdil_query, QueryError, QueryOptions};
 use xrank_rank::{elem_rank_seeded, ElemRankParams, RankResult};
 use xrank_storage::{
-    BufferPool, CostModel, FaultPolicy, FileStore, MemStore, PageStore, StatsScope, StorageResult,
+    BufferPool, CostModel, FileStore, MemStore, PageStore, StatsScope, StorageResult,
 };
 
 /// Flight-record label for a query op: `query[strategy] text`, with the
@@ -29,6 +29,21 @@ fn op_label(strategy: &str, query: &str) -> String {
         None => query,
     };
     format!("query[{strategy}] {clipped}")
+}
+
+/// Stamps a query's I/O ledger onto its trace as `pool_io` events, so the
+/// exported timeline shows the physical cost next to the stages that
+/// incurred it.
+fn attach_pool_events(trace: &QueryTrace, io: &xrank_storage::IoStats) {
+    for (what, n) in [
+        ("seq_reads", io.seq_reads),
+        ("rand_reads", io.rand_reads),
+        ("cache_hits", io.cache_hits),
+    ] {
+        if n > 0 {
+            trace.event(Stage::PoolIo, EventData::Count { what, n });
+        }
+    }
 }
 
 /// Which evaluation strategy [`XRankEngine::search_with`] runs.
@@ -83,9 +98,6 @@ pub struct EngineConfig {
     pub weighting: RankWeighting,
     /// Observability: metrics gating, slow-query log threshold/capacity.
     pub obs: ObsConfig,
-    /// Retry and circuit-breaker behavior for physical page reads
-    /// (defaults to fully disabled: every fault surfaces immediately).
-    pub fault_policy: FaultPolicy,
     /// Write-ahead log for sub-commit durability of staged documents
     /// (durable update pipelines only; see [`crate::SyncPolicy`]).
     pub wal: crate::wal::WalConfig,
@@ -104,7 +116,6 @@ impl Default for EngineConfig {
             link_spec: LinkSpec::default(),
             weighting: RankWeighting::ElemRank,
             obs: ObsConfig::default(),
-            fault_policy: FaultPolicy::default(),
             wal: crate::wal::WalConfig::default(),
         }
     }
@@ -238,7 +249,6 @@ impl EngineBuilder {
         });
         let ranks = elem_rank_seeded(&collection, &self.config.rank_params, seed);
         let mut pool = BufferPool::new(store, self.config.pool_pages);
-        pool.set_fault_policy(self.config.fault_policy);
 
         let direct = direct_postings_weighted(&collection, &ranks.scores, self.config.weighting);
         let hdil = HdilIndex::build(&mut pool, &direct)?;
@@ -438,7 +448,6 @@ impl<S: PageStore> XRankEngine<S> {
         let explicit = trace.is_enabled();
         let record = self.recorder.is_enabled();
         let trace = if record && !explicit { QueryTrace::enabled() } else { trace };
-        let fault_base = trace.is_enabled().then(|| self.pool.fault_counters());
         let scope = StatsScope::begin();
         let start = std::time::Instant::now();
         let tokenize_span = trace.span(Stage::Tokenize);
@@ -543,7 +552,7 @@ impl<S: PageStore> XRankEngine<S> {
         }
         self.note_slow(query, strategy_label(strategy), elapsed, hits.len());
         if trace.is_enabled() {
-            self.attach_pool_events(&trace, &io, fault_base);
+            attach_pool_events(&trace, &io);
         }
         let origin = trace.origin();
         let finished = trace.is_enabled().then(|| trace.finish());
@@ -571,46 +580,6 @@ impl<S: PageStore> XRankEngine<S> {
             trace: if explicit { finished } else { None },
             degraded: outcome.degraded,
         })
-    }
-
-    /// Stamps the query's I/O ledger and any circuit-breaker / retry
-    /// activity observed while it ran onto the trace as `pool_io` events,
-    /// so the exported timeline shows the physical cost next to the
-    /// stages that incurred it.
-    fn attach_pool_events(
-        &self,
-        trace: &QueryTrace,
-        io: &xrank_storage::IoStats,
-        fault_base: Option<xrank_storage::FaultCounters>,
-    ) {
-        for (what, n) in [
-            ("seq_reads", io.seq_reads),
-            ("rand_reads", io.rand_reads),
-            ("cache_hits", io.cache_hits),
-        ] {
-            if n > 0 {
-                trace.event(Stage::PoolIo, EventData::Count { what, n });
-            }
-        }
-        if let Some(base) = fault_base {
-            let now = self.pool.fault_counters();
-            for (what, n) in [
-                ("read_retries", now.retries.saturating_sub(base.retries)),
-                ("breaker_trips", now.breaker_trips.saturating_sub(base.breaker_trips)),
-                (
-                    "breaker_fast_fails",
-                    now.breaker_fast_fails.saturating_sub(base.breaker_fast_fails),
-                ),
-                (
-                    "breaker_recoveries",
-                    now.breaker_recoveries.saturating_sub(base.breaker_recoveries),
-                ),
-            ] {
-                if n > 0 {
-                    trace.event(Stage::PoolIo, EventData::Count { what, n });
-                }
-            }
-        }
     }
 
     fn note_slow(&self, query: &str, strategy: &'static str, elapsed: std::time::Duration, hits: usize) {
@@ -781,12 +750,6 @@ impl<S: PageStore> XRankEngine<S> {
             .checked_div(io.logical_reads())
             .unwrap_or(0) as i64;
         m.gauge("xrank_pool_hit_ratio_ppm").set(ratio_ppm);
-        let fc = self.pool.fault_counters();
-        m.gauge("xrank_pool_read_retries").set(fc.retries as i64);
-        m.gauge("xrank_pool_retry_successes").set(fc.retry_successes as i64);
-        m.gauge("xrank_pool_breaker_trips").set(fc.breaker_trips as i64);
-        m.gauge("xrank_pool_breaker_fast_fails").set(fc.breaker_fast_fails as i64);
-        m.gauge("xrank_pool_breaker_recoveries").set(fc.breaker_recoveries as i64);
         let (notable, normal) = self.recorder.depth();
         m.gauge("xrank_recorder_notable_depth").set(notable as i64);
         m.gauge("xrank_recorder_normal_depth").set(normal as i64);

@@ -178,8 +178,7 @@ impl XRankEngine<FileStore> {
             (meta, store.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
         });
         let Meta { collection, ranks, html_docs, hdil, rdil, naive_id, naive_rank } = meta?;
-        let mut pool = BufferPool::new(store?, config.pool_pages);
-        pool.set_fault_policy(config.fault_policy);
+        let pool = BufferPool::new(store?, config.pool_pages);
         Ok(XRankEngine::from_parts(
             config, collection, ranks, pool, hdil, rdil, naive_id, naive_rank, html_docs,
         ))

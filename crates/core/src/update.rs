@@ -54,8 +54,8 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = EngineConfig {
 //!     // WAL: enabled + fsync-per-append by default. GroupCommit(d)
-//!     // amortizes fsyncs (loss window <= d on a kill); Never leaves
-//!     // flushing to the OS; enabled: false restores pre-log semantics.
+//!     // amortizes fsyncs (loss window <= d on a kill); enabled: false
+//!     // restores pre-log semantics.
 //!     wal: WalConfig { enabled: true, sync: SyncPolicy::Always },
 //!     ..EngineConfig::default()
 //! };
@@ -65,15 +65,11 @@
 //! index.delete("doc-0")?; // tombstoned immediately
 //! let hits = index.search("hello", 10)?; // &self, never blocked
 //! let _compactor = Compactor::spawn(&index, CompactionPolicy::default());
-//! // Scrubber: how often, how many pages per chunk, and whether a
-//! // quarantined segment is rebuilt immediately or left for an operator.
+//! // Scrubber: how often and how many pages per chunk; the worker
+//! // rebuilds a segment it quarantines on the same tick.
 //! let _scrub = Scrubber::spawn(
 //!     &index,
-//!     ScrubPolicy {
-//!         interval: Duration::from_millis(250),
-//!         pages_per_chunk: 256,
-//!         auto_repair: true,
-//!     },
+//!     ScrubPolicy { interval: Duration::from_millis(250), pages_per_chunk: 256 },
 //! );
 //! # let _ = (stats, hits);
 //! # Ok(())
@@ -1343,7 +1339,7 @@ impl UpdatableXRank {
     /// fetch depth over-fetches (`m + 8`) and — when filtering leaves the
     /// merged page underfull while some segment still had a full raw page
     /// (i.e. more live hits may exist past the cut) — re-fetches deeper,
-    /// doubling up to [`MAX_REFILL_DOUBLINGS`] times. A single heavily
+    /// doubling up to `MAX_REFILL_DOUBLINGS` (6) times. A single heavily
     /// tombstoned document can therefore no longer starve the result
     /// page below `m` when `m` live results exist.
     pub fn search_opts(

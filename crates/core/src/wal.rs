@@ -7,8 +7,9 @@
 //! (`dir/wal.log`) *before* it is applied, and [`UpdatableXRank::open`]
 //! replays the log after loading the published manifest, so a process
 //! kill at any point between accept and publish recovers every
-//! acknowledged mutation (under [`SyncPolicy::Always`]; the other
-//! policies trade a bounded loss window for fewer fsyncs).
+//! acknowledged mutation (under [`SyncPolicy::Always`];
+//! [`SyncPolicy::GroupCommit`] trades a bounded loss window for fewer
+//! fsyncs).
 //!
 //! On-disk format — a fixed header followed by CRC32-framed records:
 //!
@@ -35,7 +36,7 @@
 use crate::snapshot::DocSource;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use xrank_storage::crc32;
@@ -60,8 +61,7 @@ const FRAME_PREFIX: usize = 8;
 ///
 /// The policy bounds what a process kill (not a clean error return) can
 /// lose: with `Always` nothing acknowledged is ever lost; with
-/// `GroupCommit` at most the appends of the last interval; with `Never`
-/// everything since the last checkpoint or OS writeback.
+/// `GroupCommit` at most the appends of the last interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// fsync after every append: an acknowledged mutation is durable
@@ -71,9 +71,6 @@ pub enum SyncPolicy {
     /// since the last sync — one device flush covers the whole group of
     /// appends since, amortizing the cost under write bursts.
     GroupCommit(Duration),
-    /// Never fsync from the append path (the OS flushes on its own
-    /// schedule; checkpoints still fsync their rewrite).
-    Never,
 }
 
 /// Write-ahead-log configuration ([`crate::EngineConfig::wal`]).
@@ -191,6 +188,16 @@ pub(crate) struct Wal {
     /// Unsynced appended bytes exist.
     dirty: bool,
     fault: Option<WalFault>,
+    /// End of the last acknowledged frame: a failed append cuts the log
+    /// back to here.
+    end: u64,
+    /// A failed append could not be cut back; every later append is
+    /// refused until the log is reopened (which drops the tail).
+    poisoned: bool,
+    /// Test hook: the next append writes at most this many bytes of its
+    /// frame and then fails, as a device error mid-write or at fsync
+    /// would.
+    fail_after: Option<usize>,
 }
 
 impl Wal {
@@ -204,7 +211,7 @@ impl Wal {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
-        let (records, good_len) = parse_log(&bytes);
+        let (records, mut good_len) = parse_log(&bytes);
 
         // truncate(false): the log must survive the open; torn tails are
         // cut explicitly via set_len below.
@@ -215,6 +222,7 @@ impl Wal {
             file.set_len(0)?;
             file.write_all(WAL_MAGIC)?;
             file.write_all(&WAL_VERSION.to_le_bytes())?;
+            good_len = HEADER_LEN as u64;
         } else if good_len < bytes.len() as u64 {
             // Torn or corrupt tail: everything past the last intact frame
             // was never acknowledged as durable — drop it so the next
@@ -222,8 +230,7 @@ impl Wal {
             file.set_len(good_len)?;
         }
         file.sync_all()?;
-        use std::io::Seek;
-        file.seek(io::SeekFrom::End(0))?;
+        file.seek(SeekFrom::End(0))?;
         Ok((
             Wal {
                 dir: dir.to_path_buf(),
@@ -233,6 +240,9 @@ impl Wal {
                 last_sync: Instant::now(),
                 dirty: false,
                 fault: None,
+                end: good_len,
+                poisoned: false,
+                fail_after: None,
             },
             records,
         ))
@@ -240,10 +250,17 @@ impl Wal {
 
     /// Appends one record, fsyncing per the sync policy. Returns whether
     /// this append flushed the device. On error nothing is acknowledged:
-    /// the caller must reject the mutation without applying it (a partial
-    /// frame possibly left behind is exactly a torn tail — replay drops
-    /// it).
+    /// the caller must reject the mutation without applying it, and the
+    /// log is cut back to the end of the last acknowledged frame. Torn
+    /// bytes left behind would end replay before the next acknowledged
+    /// frame; an intact frame whose fsync failed would replay a rejected
+    /// mutation. If the cut itself fails, every later append is refused.
     pub(crate) fn append(&mut self, rec: &WalRecord) -> io::Result<bool> {
+        if self.poisoned {
+            return Err(io::Error::other(
+                "a failed append could not be cut from the log; reopen to recover",
+            ));
+        }
         if let Some(mut fault) = self.fault {
             if fault.after > 0 {
                 fault.after -= 1;
@@ -260,12 +277,35 @@ impl Wal {
         frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&body).to_le_bytes());
         frame.extend_from_slice(&body);
-        self.file.write_all(&frame)?;
+        match self.write_frame(&frame) {
+            Ok(synced) => {
+                self.end += frame.len() as u64;
+                Ok(synced)
+            }
+            Err(e) => {
+                // The cut is itself a change the next sync must flush.
+                self.dirty = true;
+                let cut = self.file.set_len(self.end);
+                if cut.and_then(|()| self.file.seek(SeekFrom::Start(self.end))).is_err() {
+                    self.poisoned = true;
+                }
+                Err(e)
+            }
+        }
+    }
+
+    /// Writes one frame at the log's end and fsyncs per the sync policy.
+    fn write_frame(&mut self, frame: &[u8]) -> io::Result<bool> {
+        let fail_after = self.fail_after.take();
+        let keep = fail_after.map_or(frame.len(), |n| n.min(frame.len()));
+        self.file.write_all(&frame[..keep])?;
         self.dirty = true;
+        if fail_after.is_some() {
+            return Err(io::Error::from_raw_os_error(5));
+        }
         let sync_now = match self.policy {
             SyncPolicy::Always => true,
             SyncPolicy::GroupCommit(interval) => self.last_sync.elapsed() >= interval,
-            SyncPolicy::Never => false,
         };
         if sync_now {
             self.sync()?;
@@ -319,8 +359,7 @@ impl Wal {
         std::fs::rename(&tmp, &self.path)?;
         crate::persist::fsync_dir(&self.dir)?;
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        use std::io::Seek;
-        file.seek(io::SeekFrom::End(0))?;
+        self.end = file.seek(SeekFrom::End(0))?;
         self.file = file;
         self.dirty = false;
         self.last_sync = Instant::now();
@@ -493,16 +532,63 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A failed append leaves nothing behind: neither the torn bytes of a
+    /// write that died mid-frame (they would end replay before the next
+    /// acknowledged frame) nor the intact frame of a write whose fsync
+    /// failed (it would replay a mutation the caller saw rejected).
+    #[test]
+    fn failed_append_is_cut_from_the_log() {
+        let dir = tmp_dir("cut");
+        let (mut wal, _) = Wal::open(&dir, SyncPolicy::Always).unwrap();
+        wal.append(&add("a", "<d>a</d>")).unwrap();
+        let failures = [(5, "torn"), (FRAME_PREFIX + 3, "torn-body"), (usize::MAX, "whole")];
+        for (keep, uri) in failures {
+            wal.fail_after = Some(keep);
+            assert!(wal.append(&add(uri, "<d>x</d>")).is_err(), "{uri}");
+        }
+        wal.append(&add("b", "<d>b</d>")).unwrap();
+        // The last append of a session fails after a whole frame: no later
+        // append overwrites it, so only the cut keeps it out of replay.
+        wal.fail_after = Some(usize::MAX);
+        assert!(wal.append(&add("unsynced", "<d>x</d>")).is_err());
+        drop(wal);
+        let (_, replayed) = Wal::open(&dir, SyncPolicy::Always).unwrap();
+        assert_eq!(replayed, vec![add("a", "<d>a</d>"), add("b", "<d>b</d>")]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// When the cut itself fails, the log refuses every later append until
+    /// it is reopened; the reopened log holds the acknowledged frames only.
+    #[test]
+    fn failed_cut_refuses_appends_until_reopen() {
+        let dir = tmp_dir("poisoned");
+        let (mut wal, _) = Wal::open(&dir, SyncPolicy::Always).unwrap();
+        wal.append(&add("a", "<d>a</d>")).unwrap();
+        // A read-only handle fails both the write and the cut.
+        let writable = std::mem::replace(&mut wal.file, File::open(dir.join(WAL_FILE)).unwrap());
+        assert!(wal.append(&add("lost", "<d>x</d>")).is_err());
+        wal.file = writable;
+        assert!(wal.append(&add("refused", "<d>x</d>")).is_err(), "log is poisoned");
+        drop(wal);
+        let (mut wal, replayed) = Wal::open(&dir, SyncPolicy::Always).unwrap();
+        assert_eq!(replayed, vec![add("a", "<d>a</d>")]);
+        wal.append(&add("b", "<d>b</d>")).unwrap();
+        drop(wal);
+        let (_, replayed) = Wal::open(&dir, SyncPolicy::Always).unwrap();
+        assert_eq!(replayed, vec![add("a", "<d>a</d>"), add("b", "<d>b</d>")]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn foreign_or_empty_file_is_reinitialized_not_trusted() {
         let dir = tmp_dir("foreign");
         std::fs::write(dir.join(WAL_FILE), b"not a wal at all").unwrap();
-        let (mut wal, replayed) = Wal::open(&dir, SyncPolicy::Never).unwrap();
+        let (mut wal, replayed) = Wal::open(&dir, SyncPolicy::Always).unwrap();
         assert!(replayed.is_empty());
         wal.append(&add("a", "<d>a</d>")).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        let (_, replayed) = Wal::open(&dir, SyncPolicy::Never).unwrap();
+        let (_, replayed) = Wal::open(&dir, SyncPolicy::Always).unwrap();
         assert_eq!(replayed, vec![add("a", "<d>a</d>")]);
         std::fs::remove_dir_all(&dir).unwrap();
     }

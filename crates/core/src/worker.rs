@@ -13,9 +13,8 @@
 //! * a [`Scrubber`] (policy [`ScrubPolicy`]) re-reads
 //!   [`ScrubPolicy::pages_per_chunk`] sealed pages off the medium per
 //!   wake-up through [`UpdatableXRank::scrub_chunk`], which quarantines a
-//!   segment whose page fails its checksum; with
-//!   [`ScrubPolicy::auto_repair`] the worker then rebuilds it through
-//!   [`UpdatableXRank::repair_segment`].
+//!   segment whose page fails its checksum; the worker then rebuilds it
+//!   through [`UpdatableXRank::repair_segment`].
 //!
 //! Shutdown (explicit or on drop) cancels a shared [`CancelToken`] —
 //! observed by an in-flight fold at its phase boundaries, so a cancelled
@@ -88,7 +87,8 @@ impl WorkerPolicy for CompactionPolicy {
     }
 }
 
-/// How fast (and how autonomously) the background scrubber works.
+/// How fast the background scrubber works. A segment it quarantines is
+/// rebuilt on the same tick.
 #[derive(Debug, Clone)]
 pub struct ScrubPolicy {
     /// Pause between verification chunks — the throttle that keeps the
@@ -96,19 +96,11 @@ pub struct ScrubPolicy {
     pub interval: Duration,
     /// Physical pages verified per chunk.
     pub pages_per_chunk: u64,
-    /// Whether a quarantined segment is repaired immediately by the
-    /// worker itself. Off, the quarantine stands until an operator (or
-    /// test) calls [`UpdatableXRank::repair_segment`].
-    pub auto_repair: bool,
 }
 
 impl Default for ScrubPolicy {
     fn default() -> Self {
-        ScrubPolicy {
-            interval: Duration::from_millis(250),
-            pages_per_chunk: 256,
-            auto_repair: true,
-        }
+        ScrubPolicy { interval: Duration::from_millis(250), pages_per_chunk: 256 }
     }
 }
 
@@ -122,13 +114,11 @@ impl WorkerPolicy for ScrubPolicy {
 
     fn tick(&self, cursor: &mut ScrubCursor, index: &UpdatableXRank, _: &CancelToken) {
         let report = index.scrub_chunk(self.pages_per_chunk, cursor);
-        if self.auto_repair {
-            for seg_id in report.corrupt_segments {
-                // A failed repair leaves the quarantine standing: the
-                // segment keeps failing fast and the next report (or an
-                // operator) retries.
-                let _ = index.repair_segment(seg_id);
-            }
+        for seg_id in report.corrupt_segments {
+            // A failed repair leaves the quarantine standing: the segment
+            // keeps failing fast and the next report (or an operator)
+            // retries.
+            let _ = index.repair_segment(seg_id);
         }
     }
 }

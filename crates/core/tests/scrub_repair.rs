@@ -315,11 +315,7 @@ fn background_scrubber_heals_without_foreground_help() {
 
     let mut scrubber = Scrubber::spawn(
         &e,
-        ScrubPolicy {
-            interval: Duration::from_millis(5),
-            pages_per_chunk: 64,
-            auto_repair: true,
-        },
+        ScrubPolicy { interval: Duration::from_millis(5), pages_per_chunk: 64 },
     );
     scrubber.nudge();
     let deadline = Instant::now() + Duration::from_secs(10);

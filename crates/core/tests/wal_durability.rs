@@ -166,15 +166,14 @@ fn disabled_wal_restores_pre_log_semantics() {
 }
 
 /// Every sync policy accepts writes, checkpoints, and replays. (An
-/// in-process drop flushes buffered writes on close, so even `Never`
-/// recovers here — the policies differ only in what a hard kill can
+/// in-process drop flushes buffered writes on close, so `GroupCommit`
+/// recovers here too — the policies differ only in what a hard kill can
 /// lose.)
 #[test]
 fn all_sync_policies_accept_and_replay() {
     for (i, sync) in [
         SyncPolicy::Always,
         SyncPolicy::GroupCommit(std::time::Duration::from_millis(5)),
-        SyncPolicy::Never,
     ]
     .into_iter()
     .enumerate()

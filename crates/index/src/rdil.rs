@@ -258,7 +258,7 @@ impl RdilProbeCursor {
         self.probe(pool, target, |dewey, _| codec::decode_id(dewey))
     }
 
-    /// The "range scan over btree[i]" of Figure 7 line 19: every posting
+    /// The "range scan over btree\[i\]" of Figure 7 line 19: every posting
     /// of the term whose Dewey ID has `prefix` as a prefix, in Dewey order,
     /// decoded into `out`'s kept slots. A walk from the cursor — no root
     /// descent when the subtree starts near the pinned leaf — that stops

@@ -90,8 +90,8 @@ pub enum Stage {
     /// Recovering a published snapshot at open (manifest load, segment
     /// reopen, startup GC).
     Recovery,
-    /// Buffer-pool I/O accounting attached to a query (read counts,
-    /// breaker/retry activity observed while it ran).
+    /// Buffer-pool I/O accounting attached to a query (sequential and
+    /// random physical reads and cache hits while it ran).
     PoolIo,
     /// Appending (and possibly fsyncing) a record to the write-ahead log
     /// before a mutation is acknowledged.

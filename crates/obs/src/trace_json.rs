@@ -15,7 +15,7 @@
 //! * every [`SpanRecord`] in the record's trace becomes a child `"X"`
 //!   span (category `stage`), and every [`TraceEvent`] becomes a `"i"`
 //!   instant (category `event`): TA rounds, the HDIL switch, degrades,
-//!   breaker activity, the manifest publish.
+//!   pool I/O counts, the manifest publish.
 //!
 //! Timestamps are microseconds from the recorder epoch; span offsets are
 //! non-negative durations added to the record start, so children always

@@ -72,18 +72,12 @@ pub enum StorageError {
         /// The operation that hit ENOSPC.
         op: &'static str,
     },
-    /// The per-segment circuit breaker is open: recent reads of this
-    /// segment kept failing, so the pool fails fast without touching the
-    /// (presumably damaged or stalled) medium until the cooldown elapses.
-    CircuitOpen {
-        /// The quarantined segment.
-        segment: SegmentId,
-    },
     /// The integrity scrubber found corruption in this index segment and
-    /// quarantined it: reads fail fast (like an open breaker) until
-    /// self-repair rebuilds the segment and releases the quarantine. The
-    /// id is the update pipeline's segment id (`seg-<id>/`), not a store
-    /// file index.
+    /// quarantined it: reads fail fast until self-repair rebuilds the
+    /// segment and releases the quarantine. This is the one "unhealthy
+    /// segment" state; any other failed read surfaces once, as its own
+    /// typed error. The id is the update pipeline's segment id
+    /// (`seg-<id>/`), not a store file index.
     Quarantined {
         /// The quarantined pipeline segment.
         segment: u64,
@@ -111,19 +105,6 @@ impl StorageError {
     /// An [`StorageError::InvalidInput`] from any displayable description.
     pub fn invalid_input(what: impl Into<String>) -> StorageError {
         StorageError::InvalidInput { what: what.into() }
-    }
-
-    /// Whether retrying the same operation could plausibly succeed.
-    ///
-    /// Only raw OS I/O errors are transient: a flaky cable, a NFS hiccup,
-    /// an interrupted syscall. Everything that describes the *data* —
-    /// checksum mismatches, torn writes, structural corruption — is
-    /// permanent: the bytes will be just as wrong on the next read. Range
-    /// and input errors are caller bugs, `NoSpace` will not clear on its
-    /// own within a retry window, and an open breaker is itself the
-    /// verdict of prior retries.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, StorageError::Io { .. })
     }
 }
 
@@ -155,11 +136,6 @@ impl fmt::Display for StorageError {
             StorageError::InvalidInput { what } => write!(f, "invalid input: {what}"),
             StorageError::PoolPoisoned => write!(f, "buffer pool lock poisoned"),
             StorageError::NoSpace { op } => write!(f, "no space left during {op}"),
-            StorageError::CircuitOpen { segment } => write!(
-                f,
-                "circuit breaker open for segment {}: failing fast until cooldown",
-                segment.0
-            ),
             StorageError::Quarantined { segment } => write!(
                 f,
                 "segment {segment} quarantined by the integrity scrubber: failing fast until repaired"
@@ -243,24 +219,6 @@ mod tests {
         assert!(matches!(e, StorageError::NoSpace { op: "append" }));
         let e = StorageError::io("append", io::Error::from_raw_os_error(5));
         assert!(matches!(e, StorageError::Io { .. }));
-    }
-
-    #[test]
-    fn transient_taxonomy() {
-        let id = PageId::new(SegmentId(0), 0);
-        assert!(StorageError::io("read", io::Error::from_raw_os_error(5)).is_transient());
-        for permanent in [
-            StorageError::ChecksumMismatch { id, stored: 1, computed: 2 },
-            StorageError::TornWrite { id },
-            StorageError::corrupt("x"),
-            StorageError::invalid_input("x"),
-            StorageError::PoolPoisoned,
-            StorageError::NoSpace { op: "append" },
-            StorageError::CircuitOpen { segment: SegmentId(0) },
-            StorageError::Quarantined { segment: 3 },
-        ] {
-            assert!(!permanent.is_transient(), "{permanent} misclassified");
-        }
     }
 
     #[test]

@@ -36,7 +36,6 @@ mod error;
 mod fault;
 pub mod hash;
 mod pool;
-mod resilience;
 mod stats;
 mod store;
 pub mod wire;
@@ -45,7 +44,6 @@ pub use btree::CursorStats;
 pub use error::{crc32, StorageError, StorageResult};
 pub use fault::{FaultAt, FaultKind, FaultRule, FaultStore};
 pub use pool::{BufferPool, EvictionCounters, PageRef, SegmentIo, STREAMS_PER_SEGMENT};
-pub use resilience::{BreakerConfig, FaultCounters, FaultPolicy, RetryPolicy};
 pub use stats::{AtomicIoStats, CostModel, IoStats, StatsScope};
 pub use store::{
     FileStore, MemStore, PageId, PageStore, SegmentId, PAGE_SIZE, PAGE_TRAILER_LEN,

@@ -1,14 +1,12 @@
 //! Sharded, read-shared page cache with CLOCK eviction and
 //! sequential/random miss classification.
 
-use crate::error::{StorageError, StorageResult};
-use crate::resilience::{AtomicFaultCounters, FaultCounters, FaultPolicy};
+use crate::error::StorageResult;
 use crate::stats::{AtomicIoStats, IoStats};
 use crate::store::{PageId, PageStore, SegmentId, PAGE_SIZE};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// A concurrent page cache over a [`PageStore`] that keeps the [`IoStats`]
 /// ledger the experiments report.
@@ -46,17 +44,6 @@ pub struct BufferPool<S: PageStore> {
     stats: AtomicIoStats,
     evictions: AtomicU64,
     hand_steps: AtomicU64,
-    policy: FaultPolicy,
-    breakers: Mutex<HashMap<SegmentId, BreakerState>>,
-    fault: AtomicFaultCounters,
-}
-
-/// One segment's circuit-breaker state. `opened_at: Some(_)` means the
-/// breaker is Open (or Half-open once the cooldown has elapsed).
-#[derive(Default)]
-struct BreakerState {
-    consecutive_failures: u32,
-    opened_at: Option<Instant>,
 }
 
 /// Per-segment readahead state plus the physical-read tally for that
@@ -226,28 +213,7 @@ impl<S: PageStore> BufferPool<S> {
             stats: AtomicIoStats::default(),
             evictions: AtomicU64::new(0),
             hand_steps: AtomicU64::new(0),
-            policy: FaultPolicy::default(),
-            breakers: Mutex::new(HashMap::new()),
-            fault: AtomicFaultCounters::default(),
         }
-    }
-
-    /// Installs a retry/breaker policy. The default ([`FaultPolicy`] with
-    /// both mechanisms disabled) surfaces every fault on first failure,
-    /// which is what the PR 3 fault-injection suites pin down.
-    pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
-        self.policy = policy;
-        lock(&self.breakers).clear();
-    }
-
-    /// The active retry/breaker policy.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.policy
-    }
-
-    /// Snapshot of retry and breaker activity since construction.
-    pub fn fault_counters(&self) -> FaultCounters {
-        self.fault.snapshot()
     }
 
     /// The wrapped store.
@@ -284,13 +250,8 @@ impl<S: PageStore> BufferPool<S> {
 
     /// Reads a page through the cache, returning an owned handle. A failed
     /// physical read (I/O error, checksum mismatch, torn write, out of
-    /// range) is never cached: a later retry goes back to the store.
-    ///
-    /// When a [`FaultPolicy`] is installed, transient failures are retried
-    /// with bounded exponential backoff, and a segment whose reads keep
-    /// failing trips its circuit breaker: further misses on that segment
-    /// fail fast with [`StorageError::CircuitOpen`] (cached pages are
-    /// still served — the breaker guards the *medium*, not the cache).
+    /// range) is never cached and surfaces on its first failure as its
+    /// typed error; a later read of the page goes back to the store.
     pub fn read(&self, id: PageId) -> StorageResult<PageRef> {
         let si = self.shard_index(id);
         {
@@ -302,9 +263,6 @@ impl<S: PageStore> BufferPool<S> {
                 return Ok(PageRef { data: Arc::clone(&s.data), fresh: false });
             }
         }
-        // Fast-fail before touching the ledger or the store: an open
-        // breaker means no seek happens at all.
-        self.check_breaker(id.segment)?;
         // Physical read: classify against the segment's readahead streams.
         // The attempt is charged to the ledger even if the read then fails —
         // the seek happened.
@@ -327,11 +285,7 @@ impl<S: PageStore> BufferPool<S> {
         }
 
         let mut data = vec![0u8; PAGE_SIZE];
-        if let Err(e) = self.read_with_retry(id, &mut data) {
-            self.breaker_record_failure(id.segment);
-            return Err(e);
-        }
-        self.breaker_record_success(id.segment);
+        self.store.read_page(id, &mut data)?;
         let data: Arc<[u8]> = Arc::from(data);
 
         let mut shard = lock(&self.shards[si]);
@@ -345,84 +299,6 @@ impl<S: PageStore> BufferPool<S> {
         }
         shard.install(id, Arc::clone(&data), &self.evictions, &self.hand_steps);
         Ok(PageRef { data, fresh: true })
-    }
-
-    /// The physical read, re-issued for transient faults per the retry
-    /// policy. Deterministic schedule — fault-injection tests pin exact
-    /// attempt counts.
-    fn read_with_retry(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        let retry = self.policy.retry;
-        let mut attempt = 0u32;
-        loop {
-            match self.store.read_page(id, buf) {
-                Ok(()) => {
-                    if attempt > 0 {
-                        self.fault.retry_successes.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(());
-                }
-                Err(e) if e.is_transient() && attempt < retry.max_retries => {
-                    attempt += 1;
-                    self.fault.retries.fetch_add(1, Ordering::Relaxed);
-                    let pause = retry.backoff(attempt);
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Rejects the read if the segment's breaker is Open and still cooling
-    /// down. Once the cooldown elapses the read is allowed through as a
-    /// Half-open probe (state stays Open until the probe's outcome is
-    /// recorded).
-    fn check_breaker(&self, segment: SegmentId) -> StorageResult<()> {
-        if self.policy.breaker.threshold == 0 {
-            return Ok(());
-        }
-        let breakers = lock(&self.breakers);
-        if let Some(state) = breakers.get(&segment) {
-            if let Some(opened) = state.opened_at {
-                if opened.elapsed() < self.policy.breaker.cooldown {
-                    self.fault.breaker_fast_fails.fetch_add(1, Ordering::Relaxed);
-                    return Err(StorageError::CircuitOpen { segment });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn breaker_record_success(&self, segment: SegmentId) {
-        if self.policy.breaker.threshold == 0 {
-            return;
-        }
-        let mut breakers = lock(&self.breakers);
-        if let Some(state) = breakers.get_mut(&segment) {
-            if state.opened_at.is_some() {
-                // A Half-open probe succeeded: the segment is back.
-                self.fault.breaker_recoveries.fetch_add(1, Ordering::Relaxed);
-            }
-            *state = BreakerState::default();
-        }
-    }
-
-    fn breaker_record_failure(&self, segment: SegmentId) {
-        let threshold = self.policy.breaker.threshold;
-        if threshold == 0 {
-            return;
-        }
-        let mut breakers = lock(&self.breakers);
-        let state = breakers.entry(segment).or_default();
-        state.consecutive_failures = state.consecutive_failures.saturating_add(1);
-        let probe_failed = state.opened_at.is_some();
-        if probe_failed || state.consecutive_failures >= threshold {
-            // Trip (or re-trip after a failed Half-open probe): restart
-            // the cooldown from now.
-            state.opened_at = Some(Instant::now());
-            self.fault.breaker_trips.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Appends a page to a segment via the store, counting the write.
@@ -723,103 +599,11 @@ mod tests {
         let pool = BufferPool::with_shards(store, 16, 1);
         pool.store().inject(FaultRule::new(FaultKind::ReadError, FaultAt::Always).times(1));
         assert!(pool.read(PageId::new(seg, 0)).is_err());
-        // The failure was not cached: the retry reaches the store and
+        // The failure was not cached: the next read reaches the store and
         // succeeds.
         let page = pool.read(PageId::new(seg, 0)).unwrap();
         assert_eq!(page[0], 9);
         assert_eq!(pool.stats().cache_hits, 0);
-    }
-
-    #[test]
-    fn transient_faults_below_retry_limit_are_invisible() {
-        use crate::fault::{FaultAt, FaultKind, FaultRule, FaultStore};
-        use crate::resilience::{FaultPolicy, RetryPolicy};
-        let mut store = FaultStore::new(MemStore::new());
-        let seg = store.create_segment().unwrap();
-        store.append_page(seg, &[7u8; 8]).unwrap();
-        let mut pool = BufferPool::with_shards(store, 16, 1);
-        pool.set_fault_policy(FaultPolicy {
-            retry: RetryPolicy { max_retries: 3, ..RetryPolicy::disabled() },
-            ..FaultPolicy::default()
-        });
-        pool.store().inject(FaultRule::new(FaultKind::ReadError, FaultAt::Always).times(2));
-        let page = pool.read(PageId::new(seg, 0)).unwrap();
-        assert_eq!(page[0], 7);
-        let c = pool.fault_counters();
-        assert_eq!(c.retries, 2);
-        assert_eq!(c.retry_successes, 1);
-        assert_eq!(pool.store().injected_count(), 2);
-    }
-
-    #[test]
-    fn retry_exhaustion_and_permanent_faults_still_surface() {
-        use crate::fault::{FaultAt, FaultKind, FaultRule, FaultStore};
-        use crate::resilience::{FaultPolicy, RetryPolicy};
-        let mut store = FaultStore::new(MemStore::new());
-        let seg = store.create_segment().unwrap();
-        store.append_page(seg, &[7u8; 8]).unwrap();
-        let mut pool = BufferPool::with_shards(store, 16, 1);
-        pool.set_fault_policy(FaultPolicy {
-            retry: RetryPolicy { max_retries: 2, ..RetryPolicy::disabled() },
-            ..FaultPolicy::default()
-        });
-        // Transient fault outlasting the retry budget: 1 try + 2 retries.
-        pool.store().inject(FaultRule::new(FaultKind::ReadError, FaultAt::Always).times(5));
-        assert!(matches!(
-            pool.read(PageId::new(seg, 0)),
-            Err(StorageError::Io { .. })
-        ));
-        assert_eq!(pool.store().injected_count(), 3);
-        assert_eq!(pool.fault_counters().retries, 2);
-        pool.store().clear_faults();
-        // Permanent faults are never retried.
-        pool.store().inject(FaultRule::new(FaultKind::TornWrite, FaultAt::Always).times(5));
-        assert!(matches!(
-            pool.read(PageId::new(seg, 0)),
-            Err(StorageError::TornWrite { .. })
-        ));
-        // One injection beyond the 3 transient ones: no retry happened.
-        assert_eq!(pool.store().injected_count(), 4);
-        assert_eq!(pool.fault_counters().retries, 2);
-    }
-
-    #[test]
-    fn breaker_trips_fails_fast_and_recovers() {
-        use crate::fault::{FaultAt, FaultKind, FaultRule, FaultStore};
-        use crate::resilience::{BreakerConfig, FaultPolicy};
-        use std::time::Duration;
-        let mut store = FaultStore::new(MemStore::new());
-        let seg = store.create_segment().unwrap();
-        let other = store.create_segment().unwrap();
-        store.append_page(seg, &[1u8; 8]).unwrap();
-        store.append_page(other, &[2u8; 8]).unwrap();
-        let mut pool = BufferPool::with_shards(store, 16, 1);
-        pool.set_fault_policy(FaultPolicy {
-            breaker: BreakerConfig { threshold: 2, cooldown: Duration::from_millis(20) },
-            ..FaultPolicy::default()
-        });
-        pool.store().inject(
-            FaultRule::new(FaultKind::ReadError, FaultAt::Segment(seg)).times(2),
-        );
-        let id = PageId::new(seg, 0);
-        assert!(pool.read(id).is_err());
-        assert!(pool.read(id).is_err()); // second consecutive failure trips
-        let after_trip = pool.store().injected_count();
-        assert_eq!(after_trip, 2);
-        // Open: fails fast with CircuitOpen, never touching the store.
-        assert!(matches!(pool.read(id), Err(StorageError::CircuitOpen { segment }) if segment == seg));
-        assert_eq!(pool.store().injected_count(), after_trip);
-        // Other segments keep serving while the breaker is open.
-        assert_eq!(pool.read(PageId::new(other, 0)).unwrap()[0], 2);
-        let c = pool.fault_counters();
-        assert_eq!(c.breaker_trips, 1);
-        assert_eq!(c.breaker_fast_fails, 1);
-        // After the cooldown the Half-open probe goes through (faults are
-        // exhausted by now) and closes the breaker.
-        std::thread::sleep(Duration::from_millis(25));
-        assert_eq!(pool.read(id).unwrap()[0], 1);
-        assert_eq!(pool.fault_counters().breaker_recoveries, 1);
-        assert_eq!(pool.read(id).unwrap()[0], 1); // cached, breaker closed
     }
 
     /// Deterministic per-thread page sequence (splitmix-style).

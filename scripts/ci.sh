@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: release build, full workspace test suite, and
-# clippy with warnings denied. CI and pre-merge checks run exactly this.
+# rustdoc and clippy with warnings denied. CI and pre-merge checks run
+# exactly this.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -45,6 +46,10 @@ echo "== regression benchmark: unit + 200-document smoke suite =="
 # git-ignored .bench_build/ and benchmark/out/ only.
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline -q \
     --manifest-path benchmark/Cargo.toml
+
+echo "== cargo doc --workspace with warnings denied =="
+# Catches dangling intra-doc links to renamed or deleted items.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
