@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks for the substrates: Dewey codec, B+-tree
-//! probes, posting-list reads, RDIL's Figure 7 loop, the two halves of an
-//! engine open, XML parsing, tokenization.
+//! probes, posting-list reads, RDIL's and HDIL's Figure 7 loop, the two
+//! halves of an engine open, XML parsing, tokenization.
 //!
 //! Run with `cargo bench -p xrank-bench --bench substrates`. The shim
 //! prints min / mean / max per benchmark; compare minimums, which see
@@ -11,10 +11,10 @@ use std::hint::black_box;
 use xrank_dewey::{codec, DeweyId};
 use xrank_graph::{Collection, CollectionBuilder, TermId};
 use xrank_index::posting::Posting;
-use xrank_index::{DilIndex, RdilIndex};
-use xrank_query::{dil_query, rdil_query, QueryOptions};
+use xrank_index::{DilIndex, HdilIndex, RdilIndex};
+use xrank_query::{dil_query, hdil_query, rdil_query, QueryOptions};
 use xrank_storage::btree::SortedKv;
-use xrank_storage::{BufferPool, FileStore, MemStore, PageStore};
+use xrank_storage::{BufferPool, CostModel, FileStore, MemStore, PageStore};
 
 fn bench_dewey_codec(c: &mut Criterion) {
     let ids: Vec<DeweyId> = (0..1000u32)
@@ -170,6 +170,10 @@ fn bench_list(c: &mut Criterion) {
 /// Fig. 11 regime, where nearly every consumed entry's probe kills it and
 /// the TA loop runs deep. `gamma` and `delta` share an element in every
 /// document: the Fig. 10 regime, where the loop stops after a few rounds.
+/// The `hdil-` twins run the §4.4.2 strategy over an `HdilIndex` of the
+/// same four lists: its probes and range scans search the keyword cursor's
+/// decoded list block instead of a B+-tree leaf, and the uncorrelated pair
+/// switches to DIL.
 fn bench_rdil(c: &mut Criterion) {
     const DOCS: u32 = 40_000;
     let list = |keep: fn(u32) -> bool, path: &[u32], salt: u32| -> Vec<Posting> {
@@ -188,10 +192,12 @@ fn bench_rdil(c: &mut Criterion) {
     let gamma = list(|_| true, &[3], 3);
     let delta = list(|_| true, &[3], 4);
     let entries = (alpha.len() + beta.len()) as u64;
+    let lists = [alpha, beta, gamma, delta];
     let mut pool = BufferPool::new(MemStore::new(), 1 << 14);
-    let rdil = RdilIndex::build(&mut pool, &[alpha, beta, gamma, delta]).unwrap();
+    let rdil = RdilIndex::build(&mut pool, &lists).unwrap();
     assert!(rdil.tree.leaf_count >= 300, "{} leaves", rdil.tree.leaf_count);
-    let opts = QueryOptions::default();
+    let hdil = HdilIndex::build(&mut pool, &lists).unwrap();
+    let (opts, cost) = (QueryOptions::default(), CostModel::default());
     let (uncorrelated, correlated) = ([TermId(0), TermId(1)], [TermId(2), TermId(3)]);
 
     let mut g = c.benchmark_group("rdil");
@@ -203,6 +209,17 @@ fn bench_rdil(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
     g.bench_function("evaluate-correlated/2kw", |bch| {
         bch.iter(|| black_box(rdil_query::evaluate(&pool, &rdil, &correlated, &opts).unwrap()))
+    });
+    g.bench_function("hdil-evaluate-correlated/2kw", |bch| {
+        bch.iter(|| {
+            black_box(hdil_query::evaluate(&pool, &hdil, &correlated, &opts, &cost).unwrap())
+        })
+    });
+    g.throughput(Throughput::Elements(entries));
+    g.bench_function("hdil-evaluate-uncorrelated/2kw", |bch| {
+        bch.iter(|| {
+            black_box(hdil_query::evaluate(&pool, &hdil, &uncorrelated, &opts, &cost).unwrap())
+        })
     });
     g.finish();
 }

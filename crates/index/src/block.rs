@@ -351,8 +351,8 @@ impl SkipTable {
 /// Decodes one block (count varint + rank dictionary + entries) starting
 /// at `buf[off..]`. Appends the postings to `out` and returns the offset
 /// just past the block. The whole-block reference decoder: the streaming
-/// reader and the block scan decode entry-at-a-time instead, and their
-/// tests compare against this.
+/// reader and HDIL's decoded Dewey column decode entry-at-a-time instead,
+/// and their tests compare against this.
 pub fn decode_block(buf: &[u8], mut off: usize, out: &mut Vec<Posting>) -> StorageResult<usize> {
     let (count, n) = codec::read_component(
         buf.get(off..).ok_or_else(|| StorageError::corrupt("block count overruns page"))?,

@@ -8,26 +8,27 @@
 //! stored" (Section 4.4.1). That non-leaf part is the list's
 //! [`SkipTable`] — one `(first key, page, offset)` entry per block of
 //! ≤ 127 postings, kept in memory with the list directory — so a probe is
-//! a binary search in the table plus one block scan off the list page, and
-//! HDIL writes no index pages of its own. This is why HDIL's *index*
-//! column in Table 1 is orders of magnitude smaller than RDIL's while its
-//! *list* column is only slightly larger than DIL's.
+//! a binary search in the table plus a search of one block off the list
+//! page, and HDIL writes no index pages of its own. This is why HDIL's
+//! *index* column in Table 1 is orders of magnitude smaller than RDIL's
+//! while its *list* column is only slightly larger than DIL's.
 
-use crate::block::SkipTable;
+use crate::block::{self, RankDict, SkipTable};
 use crate::dil::DilIndex;
-use crate::listio::{
-    self, pin_page, scan_block, BlockScan, ListInfo, ListMeta, ListReader, PostingCodec,
-};
-use crate::posting::Posting;
+use crate::listio::{self, pin_page, ListInfo, ListMeta, ListReader, PostingCodec};
+use crate::posting::{self, Posting, PostingRun};
 use crate::rdil::rank_order;
 use crate::SpaceBreakdown;
 use std::collections::BTreeMap;
 use std::ops::Bound::{Included, Unbounded};
 use std::sync::Arc;
-use xrank_dewey::{codec, DeweyId};
+use xrank_dewey::codec::{self, DecodeError};
+use xrank_dewey::DeweyId;
 use xrank_graph::TermId;
 use xrank_storage::btree::CursorStats;
-use xrank_storage::{BufferPool, PageRef, PageStore, SegmentId, StorageResult, PAGE_SIZE};
+use xrank_storage::{
+    BufferPool, PageRef, PageStore, SegmentId, StorageError, StorageResult, PAGE_SIZE,
+};
 
 /// Fraction of each list stored rank-sorted (the "small fraction of the
 /// inverted list sorted by rank" of Section 4.4.1).
@@ -137,44 +138,16 @@ impl HdilIndex {
         HdilProbeCursor {
             segment: self.dil.segment,
             skip: self.dil.info(term).map(|info| info.skip.clone()),
+            key: Vec::new(),
             pinned: None,
             at: 0,
+            column: DeweyColumn::default(),
+            neighbour: DeweyColumn::default(),
             stats: CursorStats::default(),
             decoded: 0,
+            blocks: 0,
             memo: ProbeMemo::default(),
         }
-    }
-
-    /// All postings of `term` whose Dewey has `prefix` as a prefix, and
-    /// the number of list entries decoded to produce them (a landing
-    /// block is decoded from its start, so this is at least the number
-    /// returned).
-    ///
-    /// Answered from the in-memory skip table: jump straight to the block
-    /// that can contain `prefix` (no page touched outside the subtree's
-    /// range) and decode entries until the first one past the subtree —
-    /// descendants are contiguous in Dewey order, so that entry ends the
-    /// scan. This is the TA loop's `range_scan` hot path; block
-    /// granularity (≤ 127 entries) is what keeps each candidate check from
-    /// decoding whole pages.
-    pub fn prefix_postings<S: PageStore>(
-        &self,
-        pool: &BufferPool<S>,
-        term: TermId,
-        prefix: &DeweyId,
-    ) -> StorageResult<(Vec<Posting>, u64)> {
-        let Some(mut r) = self.dil.reader(term) else {
-            return Ok((Vec::new(), 0));
-        };
-        r.next_seek(pool, prefix)?;
-        let mut out = Vec::new();
-        while let Some(p) = r.peek(pool)? {
-            if !prefix.is_ancestor_or_self_of(&p.dewey) {
-                break;
-            }
-            out.push(r.next(pool)?.expect("peeked entry present"));
-        }
-        Ok((out, r.decoded()))
     }
 
     /// Serializes the index directory.
@@ -215,7 +188,7 @@ impl HdilIndex {
 /// immutable for the life of the query. Rank-ordered list consumption
 /// makes probe targets jump around Dewey space; gap keying turns every
 /// pair of targets that land between the same two adjacent postings into
-/// one block scan plus a free lookup, where an exact-target memo would
+/// one block search plus a free lookup, where an exact-target memo would
 /// miss.
 #[derive(Debug, Clone, Default)]
 struct ProbeMemo {
@@ -255,32 +228,193 @@ impl ProbeMemo {
 /// How many leading components of `target` a probe answer keeps: the
 /// longer common prefix through the entry or its predecessor (Section
 /// 4.3.2: one of the two shares the longest prefix with the target).
-fn kept(target: &DeweyId, entry: Option<&DeweyId>, pred: Option<&DeweyId>) -> usize {
-    let via = |id: Option<&DeweyId>| id.map_or(0, |id| id.common_prefix_len(target));
+fn kept(target: &[u32], entry: Option<&[u32]>, pred: Option<&[u32]>) -> usize {
+    let via = |id: Option<&[u32]>| {
+        id.map_or(0, |id| id.iter().zip(target).take_while(|(a, b)| a == b).count())
+    };
     via(entry).max(via(pred))
+}
+
+/// One block of a Dewey-sorted list, decoded as far as some probe or
+/// range scan needed and no further: the IDs as one flat component
+/// column, and where each entry's rank index sits on the page, so a range
+/// scan reads rank and positions of the entries it returns without
+/// decoding their IDs again. Filled lazily, one entry at a time, from
+/// whatever pin of the block's page the caller holds; the list is
+/// immutable for the life of a query, so a block's decoded part stays
+/// valid until another block is loaded over it.
+#[derive(Debug, Clone, Default)]
+struct DeweyColumn {
+    /// Index of the block held; `None` before the first load.
+    block: Option<usize>,
+    /// Entries in the block (its count varint).
+    count: usize,
+    /// The block's rank dictionary.
+    ranks: Vec<f32>,
+    /// Components of the decoded entries, end to end.
+    components: Vec<u32>,
+    /// Entry `i`'s components are `components[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
+    /// Page offset of each decoded entry's rank index.
+    payloads: Vec<u32>,
+    /// Page offset of the first entry not yet decoded.
+    resume: usize,
+    /// Reused buffer the next entry's ID decodes into.
+    scratch: Vec<u32>,
+}
+
+/// The page bytes from `off`, or a typed error when `off` overruns them.
+fn rest(page: &[u8], off: usize) -> StorageResult<&[u8]> {
+    page.get(off..).ok_or_else(|| StorageError::corrupt("list block overruns its page"))
+}
+
+fn bad(e: DecodeError) -> StorageError {
+    StorageError::corrupt(format!("list block: {e}"))
+}
+
+impl DeweyColumn {
+    fn holds(&self, block: usize) -> bool {
+        self.block == Some(block)
+    }
+
+    /// Entries decoded so far.
+    fn len(&self) -> usize {
+        self.payloads.len()
+    }
+
+    /// The ID of decoded entry `i`.
+    fn id(&self, i: usize) -> &[u32] {
+        &self.components[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+
+    /// Starts holding `block`, whose count varint sits at `page[offset..]`:
+    /// reads its header and decodes no entry.
+    fn load(&mut self, block: usize, page: &[u8], offset: usize) -> StorageResult<()> {
+        self.block = None;
+        let (count, n) = codec::read_component(rest(page, offset)?).map_err(bad)?;
+        // Writers emit 1..=127 entries per block (the count is one byte).
+        if count == 0 || count as usize > block::MAX_BLOCK_ENTRIES {
+            return Err(StorageError::corrupt(format!("list block of {count} entries")));
+        }
+        let dict = offset + n;
+        self.resume = dict + RankDict::read(rest(page, dict)?, &mut self.ranks).map_err(bad)?;
+        self.count = count as usize;
+        self.components.clear();
+        self.starts.clear();
+        self.starts.push(0);
+        self.payloads.clear();
+        self.block = Some(block);
+        Ok(())
+    }
+
+    /// Decodes the next entry's ID (skipping its rank and positions);
+    /// `false` once the block is decoded whole. Nothing is kept of an
+    /// entry that fails to decode, so the column stays consistent.
+    fn extend(&mut self, page: &[u8]) -> StorageResult<bool> {
+        let i = self.len();
+        if i == self.count {
+            return Ok(false);
+        }
+        let prev = if i == 0 { &[][..] } else { &self.components[self.starts[i - 1] as usize..] };
+        let payload = self.resume
+            + block::decode_dewey_into(prev, rest(page, self.resume)?, &mut self.scratch)
+                .map_err(bad)?;
+        let (_, n) = codec::read_component(rest(page, payload)?).map_err(bad)?;
+        self.resume = payload + n + posting::skip_positions(rest(page, payload + n)?).map_err(bad)?;
+        self.components.extend_from_slice(&self.scratch);
+        self.starts.push(self.components.len() as u32);
+        self.payloads.push(payload as u32);
+        Ok(true)
+    }
+
+    /// Index of the block's first entry `>= target` (`count` when there
+    /// is none): a binary search of the decoded part, extended past its end
+    /// only while every decoded entry sorts below `target` — exactly as far
+    /// as a scan from the block's start would go.
+    fn lower_bound(&mut self, page: &[u8], target: &[u32]) -> StorageResult<usize> {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.id(mid) < target {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        if lo < self.len() {
+            return Ok(lo);
+        }
+        while self.extend(page)? {
+            if self.id(self.len() - 1) >= target {
+                return Ok(self.len() - 1);
+            }
+        }
+        Ok(self.count)
+    }
+
+    /// Decodes the whole block; returns the index of its last entry.
+    fn last(&mut self, page: &[u8]) -> StorageResult<usize> {
+        while self.extend(page)? {}
+        Ok(self.count - 1)
+    }
+
+    /// Decoded entry `i` as a posting into `out`: its ID from the column,
+    /// its rank and positions off the page.
+    fn posting(&self, page: &[u8], i: usize, out: &mut Posting) -> StorageResult<()> {
+        let payload = self.payloads[i] as usize;
+        let (rank, n) = codec::read_component(rest(page, payload)?).map_err(bad)?;
+        out.rank = *self.ranks.get(rank as usize).ok_or_else(|| bad(DecodeError::Truncated))?;
+        posting::decode_positions_into(rest(page, payload + n)?, &mut out.positions)
+            .map_err(bad)?;
+        let dewey = out.dewey.components_mut();
+        dewey.clear();
+        dewey.extend_from_slice(self.id(i));
+        out.elem = 0;
+        Ok(())
+    }
+}
+
+/// Where a probe found an answer: an entry of the landing block's column
+/// or of the neighbour block's.
+#[derive(Debug, Clone, Copy)]
+enum Found {
+    Landing(usize),
+    Neighbour(usize),
 }
 
 /// A per-keyword stateful probe cursor over HDIL's Dewey-sorted list.
 ///
 /// HDIL's B+-tree leaves *are* the list pages (Section 4.4.1), and the
 /// skip table already names the one block (≤ 127 entries) that can hold
-/// the target, so a probe is a binary search in memory plus one block scan
-/// off the pinned page. Answers are the Dewey IDs the scan decodes anyway;
-/// no rank or positions are read. A block scan decodes postings, and the
-/// §4.4.2 work clock counts them, so the Figure 7 path remembers each
-/// answer's gap ([`HdilProbeCursor::remembered`]) and scans no block twice
-/// for targets in it.
+/// the target. The cursor keeps the block it last landed in decoded as a
+/// column of Dewey IDs, so a probe is a binary search in the skip table,
+/// then one in the column, which is extended only past its end; the
+/// keyword's range scans ([`HdilProbeCursor::scan_prefix`]) read the same
+/// column. Answers are compared as component slices; no rank or positions
+/// are read, and only the gap memo's answers are built as owned IDs. The
+/// §4.4.2 work clock counts what a scan from the landing block's start
+/// would pass, cached or not, so the Figure 7 path also remembers each
+/// answer's gap ([`HdilProbeCursor::remembered`]) and probes no block
+/// twice for targets in it.
 #[derive(Debug, Clone)]
 pub struct HdilProbeCursor {
     segment: SegmentId,
     /// The term's skip table; `None` for absent terms.
     skip: Option<Arc<SkipTable>>,
+    /// Reused skip-table search key.
+    key: Vec<u8>,
     /// `(page offset, page)` of the last landing block.
     pinned: Option<(u32, PageRef)>,
     /// Index of the last landing block.
     at: usize,
+    /// The last block a probe landed in or a range scan entered.
+    column: DeweyColumn,
+    /// The last neighbour block a probe borrowed a boundary entry from.
+    neighbour: DeweyColumn,
     stats: CursorStats,
     decoded: u64,
+    /// Blocks loaded into either column.
+    blocks: u64,
     /// The gaps [`HdilProbeCursor::kept_prefix`]'s answers certified.
     memo: ProbeMemo,
 }
@@ -291,35 +425,45 @@ impl HdilProbeCursor {
     /// prefix length when one covers `target`. Touches no page and decodes
     /// nothing.
     pub fn remembered(&self, target: &DeweyId) -> Option<usize> {
-        self.memo.lookup(target).map(|(entry, pred)| kept(target, entry, pred))
+        let (entry, pred) = self.memo.lookup(target)?;
+        let (entry, pred) = (entry.map(DeweyId::components), pred.map(DeweyId::components));
+        Some(kept(target.components(), entry, pred))
     }
 
     /// The Figure 7 probe, reduced to the one number it reads: how many
     /// leading components `target` shares with its lowest-geq entry or that
-    /// entry's predecessor, whichever shares more. One
-    /// [`HdilProbeCursor::lowest_geq`] probe, whose answer's gap is then
-    /// remembered.
+    /// entry's predecessor, whichever shares more. The probe of
+    /// [`HdilProbeCursor::lowest_geq`], read off the columns; its answer's
+    /// gap is then remembered.
     pub fn kept_prefix<S: PageStore>(
         &mut self,
         pool: &BufferPool<S>,
         target: &DeweyId,
     ) -> StorageResult<usize> {
-        let (entry, pred) = self.lowest_geq(pool, target)?;
-        let keep = kept(target, entry.as_ref(), pred.as_ref());
-        self.memo.insert((entry, pred));
+        let (entry, pred) = self.probe(pool, target)?;
+        let keep = kept(target.components(), self.answer(entry), self.answer(pred));
+        self.memo.insert((self.owned(entry), self.owned(pred)));
         Ok(keep)
     }
 
     /// How the probes so far were served: off the pinned page
     /// (`seeks_forward` / `seeks_backward`, by direction from the previous
-    /// landing position) or by pinning another page (`descents`).
+    /// landing position) or by pinning another page (`descents`). Range
+    /// scans count nothing here.
     pub fn stats(&self) -> CursorStats {
         self.stats
     }
 
-    /// List entries examined by the probes so far.
+    /// List entries the probes so far passed, counted from each landing
+    /// block's first entry through the answer (plus a neighbour's boundary
+    /// entries), whether the column already held them or not.
     pub fn postings_decoded(&self) -> u64 {
         self.decoded
+    }
+
+    /// List blocks the probes and range scans so far loaded into a column.
+    pub fn blocks_decoded(&self) -> u64 {
+        self.blocks
     }
 
     /// Smallest Dewey ID `>= target` in the list, and its predecessor.
@@ -328,6 +472,29 @@ impl HdilProbeCursor {
         pool: &BufferPool<S>,
         target: &DeweyId,
     ) -> StorageResult<(Option<DeweyId>, Option<DeweyId>)> {
+        let (entry, pred) = self.probe(pool, target)?;
+        Ok((self.owned(entry), self.owned(pred)))
+    }
+
+    fn answer(&self, found: Option<Found>) -> Option<&[u32]> {
+        found.map(|found| match found {
+            Found::Landing(i) => self.column.id(i),
+            Found::Neighbour(i) => self.neighbour.id(i),
+        })
+    }
+
+    fn owned(&self, found: Option<Found>) -> Option<DeweyId> {
+        self.answer(found).map(|id| DeweyId::from_components(id.to_vec()))
+    }
+
+    /// One probe: where the smallest ID `>= target` and its predecessor
+    /// sit in the columns. The landing page stays pinned; a neighbour's
+    /// page is pinned only for its boundary entry.
+    fn probe<S: PageStore>(
+        &mut self,
+        pool: &BufferPool<S>,
+        target: &DeweyId,
+    ) -> StorageResult<(Option<Found>, Option<Found>)> {
         let Some(skip) = self.skip.as_deref() else {
             return Ok((None, None));
         };
@@ -339,42 +506,61 @@ impl HdilProbeCursor {
         }
         // The only block that can hold `target`; a target before the whole
         // list is answered by the first posting of block 0.
-        let landing = skip.last_leq(&codec::encode_id(target)).unwrap_or(0);
-        let (segment, pinned, decoded) = (self.segment, &mut self.pinned, &mut self.decoded);
+        self.key.clear();
+        codec::encode_id_into(target, &mut self.key);
+        let landing = skip.last_leq(&self.key).unwrap_or(0);
+        let t = target.components();
+        let e = &skip.blocks[landing];
         let mut pinned_another = false;
-        let mut scan = |block: usize, target: Option<&DeweyId>| -> StorageResult<BlockScan> {
-            let e = &skip.blocks[block];
-            let scanned = match &*pinned {
-                Some((page_no, page)) if *page_no == e.page => {
-                    scan_block(page, e.offset as usize, target)?
-                }
-                _ => {
-                    pinned_another = true;
-                    let page = pin_page(pool, segment, e.page)?;
-                    let scanned = scan_block(&page, e.offset as usize, target)?;
-                    // Keep the landing page; a neighbour's page is only
-                    // borrowed for its boundary posting.
-                    if block == landing {
-                        *pinned = Some((e.page, page));
-                    }
-                    scanned
-                }
-            };
-            *decoded += scanned.decoded as u64;
-            Ok(scanned)
+        let page = match &self.pinned {
+            Some((page_no, page)) if *page_no == e.page => page.clone(),
+            _ => {
+                pinned_another = true;
+                let page = pin_page(pool, self.segment, e.page)?;
+                self.pinned = Some((e.page, page.clone()));
+                page
+            }
         };
-        let BlockScan { below, at_or_above, .. } = scan(landing, Some(target))?;
+        if !self.column.holds(landing) {
+            self.column.load(landing, &page, e.offset as usize)?;
+            self.blocks += 1;
+        }
+        let at = self.column.lower_bound(&page, t)?;
+        let count = self.column.count;
+        self.decoded += (at + 1).min(count) as u64;
         // Boundary cases reach into the neighbour block: the successor of a
         // block that sorts wholly below `target` is the next block's first
         // posting, the predecessor of a block's first posting the previous
-        // block's last.
-        let entry = match at_or_above {
-            None if landing + 1 < blocks => scan(landing + 1, Some(target))?.at_or_above,
-            found => found,
+        // block's last. A block holds at least one entry, so one probe
+        // reaches into at most one neighbour.
+        let mut neighbour = |block: usize| -> StorageResult<PageRef> {
+            let n = &skip.blocks[block];
+            let page = if n.page == e.page {
+                page.clone()
+            } else {
+                pinned_another = true;
+                pin_page(pool, self.segment, n.page)?
+            };
+            if !self.neighbour.holds(block) {
+                self.neighbour.load(block, &page, n.offset as usize)?;
+                self.blocks += 1;
+            }
+            Ok(page)
         };
-        let pred = match below {
-            None if landing > 0 => scan(landing - 1, None)?.below,
-            found => found,
+        let (entry, pred) = if at == count && landing + 1 < blocks {
+            let page = neighbour(landing + 1)?;
+            let first = self.neighbour.lower_bound(&page, t)?;
+            self.decoded += (first + 1).min(self.neighbour.count) as u64;
+            let entry = (first < self.neighbour.count).then_some(Found::Neighbour(first));
+            (entry, Some(Found::Landing(at - 1)))
+        } else if at == 0 && landing > 0 {
+            let page = neighbour(landing - 1)?;
+            let last = self.neighbour.last(&page)?;
+            self.decoded += self.neighbour.count as u64;
+            (Some(Found::Landing(0)), Some(Found::Neighbour(last)))
+        } else {
+            let entry = (at < count).then_some(Found::Landing(at));
+            (entry, at.checked_sub(1).map(Found::Landing))
         };
         if pinned_another {
             self.stats.descents += 1;
@@ -385,6 +571,55 @@ impl HdilProbeCursor {
         }
         self.at = landing;
         Ok((entry, pred))
+    }
+
+    /// The "range scan over btree\[i\]" of Figure 7 line 19: every posting
+    /// of the term whose Dewey ID has `prefix` as a prefix, in Dewey order,
+    /// decoded into `out`'s kept slots; returns the entries a scan from the
+    /// landing block's start passes on the way (the work clock's count,
+    /// cached or not). The landing block is the one the skip table names
+    /// for `prefix`; its ID column is the cursor's, so a scan after a probe
+    /// of the same block binary-searches what the probe decoded, and reads
+    /// rank and positions only of the entries it returns. The scan stops at
+    /// the first ID outside the subtree — descendants are contiguous in
+    /// Dewey order — and pins each page it enters, as a reader opened for
+    /// the scan would; the probes' pinned page and counters are left alone.
+    pub fn scan_prefix<S: PageStore>(
+        &mut self,
+        pool: &BufferPool<S>,
+        prefix: &DeweyId,
+        out: &mut PostingRun,
+    ) -> StorageResult<u64> {
+        out.clear();
+        let Some(skip) = self.skip.as_deref() else {
+            return Ok(0);
+        };
+        self.key.clear();
+        codec::encode_id_into(prefix, &mut self.key);
+        let landing = skip.last_leq(&self.key).unwrap_or(0);
+        let p = prefix.components();
+        let mut frame: Option<(u32, PageRef)> = None;
+        let mut decoded = 0u64;
+        for (b, e) in skip.blocks.iter().enumerate().skip(landing) {
+            if frame.as_ref().is_none_or(|(page_no, _)| *page_no != e.page) {
+                frame = Some((e.page, pin_page(pool, self.segment, e.page)?));
+            }
+            let page = &frame.as_ref().expect("entered page pinned").1;
+            if !self.column.holds(b) {
+                self.column.load(b, page, e.offset as usize)?;
+                self.blocks += 1;
+            }
+            let mut i = self.column.lower_bound(page, p)?;
+            while i < self.column.len() || self.column.extend(page)? {
+                if !self.column.id(i).starts_with(p) {
+                    return Ok(decoded + i as u64 + 1);
+                }
+                self.column.posting(page, i, out.push_slot())?;
+                i += 1;
+            }
+            decoded += self.column.count as u64;
+        }
+        Ok(decoded)
     }
 }
 
@@ -471,22 +706,17 @@ mod tests {
     }
 
     #[test]
-    fn prefix_postings_agree_with_rdil() {
+    fn scan_prefix_agrees_with_rdil() {
         let (pool, hdil, rdil, c) = build_large();
         let term = c.vocabulary().lookup("common").unwrap();
-        let mut cursor = rdil.probe_cursor(term);
-        let mut run = crate::posting::PostingRun::default();
+        let (mut h, mut r) = (hdil.probe_cursor(term), rdil.probe_cursor(term));
+        let (mut hrun, mut rrun) = (PostingRun::default(), PostingRun::default());
         for prefix in [DeweyId::from([0]), DeweyId::from([0, 0, 42]), DeweyId::from([0, 0, 399])]
         {
-            let (h, decoded) = hdil.prefix_postings(&pool, term, &prefix).unwrap();
-            cursor.scan_prefix(&pool, &prefix, &mut run).unwrap();
-            let r = run.as_slice();
-            assert_eq!(h.len(), r.len(), "count mismatch under {prefix}");
-            assert!(decoded >= h.len() as u64, "every returned posting was decoded");
-            for (a, b) in h.iter().zip(r.iter()) {
-                assert_eq!(a.dewey, b.dewey);
-                assert_eq!(a.positions, b.positions);
-            }
+            let decoded = h.scan_prefix(&pool, &prefix, &mut hrun).unwrap();
+            r.scan_prefix(&pool, &prefix, &mut rrun).unwrap();
+            assert_eq!(hrun.as_slice(), rrun.as_slice(), "under {prefix}");
+            assert!(decoded >= hrun.as_slice().len() as u64, "every returned posting was decoded");
         }
     }
 
@@ -534,7 +764,10 @@ mod tests {
         assert!(hdil.meta(t).is_none());
         let (e, p) = hdil.lowest_geq(&pool, t, &DeweyId::from([0])).unwrap();
         assert!(e.is_none() && p.is_none());
-        assert!(hdil.prefix_postings(&pool, t, &DeweyId::from([0])).unwrap().0.is_empty());
+        let mut run = PostingRun::default();
+        let mut cur = hdil.probe_cursor(t);
+        assert_eq!(cur.scan_prefix(&pool, &DeweyId::from([0]), &mut run).unwrap(), 0);
+        assert!(run.as_slice().is_empty());
     }
 
     /// The one keyword of [`block_list`].
@@ -564,6 +797,12 @@ mod tests {
         assert!(info.meta.page_count >= 3, "{:?}", info.meta);
         assert!(info.skip.blocks.len() >= 20);
         (pool, hdil, postings)
+    }
+
+    /// [`kept`] of an owned `(entry, pred)` answer.
+    fn keep_of(target: &DeweyId, (entry, pred): &(Option<DeweyId>, Option<DeweyId>)) -> usize {
+        let (entry, pred) = (entry.as_ref(), pred.as_ref());
+        kept(target.components(), entry.map(DeweyId::components), pred.map(DeweyId::components))
     }
 
     /// Brute-force `lowest_geq` over the decoded list.
@@ -716,6 +955,96 @@ mod tests {
         assert_eq!(store.injected_count(), injected);
     }
 
+    /// A probe walk decodes a block into the cursor's column once per
+    /// stay: every run of probes that land in the same block costs one
+    /// load, and a return to a block left earlier costs another.
+    #[test]
+    fn blocks_decoded_counts_each_block_load() {
+        let (pool, hdil, postings) = block_list();
+        let skip = hdil.dil.info(TERM).unwrap().skip.clone();
+        let starts = block_starts(&skip, &postings);
+        // Postings strictly inside a block: neither the first (whose
+        // predecessor is in the previous block) nor a gap past the last.
+        let inside = |b: usize, k: usize| postings[starts[b] + 1 + k].dewey.clone();
+        let visits = [0usize, 0, 1, 1, 1, 5, 6, 6, 1, 0, 19, 19, 2];
+        let mut cur = hdil.probe_cursor(TERM);
+        let mut loads = 0;
+        for (i, &b) in visits.iter().enumerate() {
+            let target = inside(b, i % 5);
+            assert_eq!(cur.lowest_geq(&pool, &target).unwrap(), oracle(&postings, &target));
+            loads += (i == 0 || visits[i - 1] != b) as u64;
+            assert_eq!(cur.blocks_decoded(), loads, "after probe {i} into block {b}");
+        }
+        assert_eq!(loads, 8);
+        // A range scan from the block held into the next ones loads each
+        // block it enters but the first.
+        let prefix = postings[starts[3] - 1].dewey.prefix(1);
+        let inside = |p: &Posting| prefix.is_ancestor_or_self_of(&p.dewey);
+        let stop = postings.partition_point(|p| p.dewey < prefix || inside(p));
+        let entered = starts.partition_point(|&s| s <= stop) - 1 - 2;
+        assert!(entered >= 1, "the subtree crosses out of block 2");
+        let mut run = PostingRun::default();
+        cur.scan_prefix(&pool, &prefix, &mut run).unwrap();
+        assert_eq!(cur.blocks_decoded(), loads + entered as u64);
+    }
+
+    /// The column against the whole-block reference decoder: for every
+    /// block, every posting and the gap right after it, the first entry at
+    /// or above the target and the posting read back through the column.
+    #[test]
+    fn column_matches_a_full_block_decode() {
+        let (pool, hdil, _) = block_list();
+        for (b, e) in hdil.dil.info(TERM).unwrap().skip.blocks.iter().enumerate() {
+            let page = pin_page(&pool, hdil.dil.segment, e.page).unwrap();
+            let mut block = Vec::new();
+            block::decode_block(&page, e.offset as usize, &mut block).unwrap();
+            for (i, p) in block.iter().enumerate() {
+                for (target, at) in [(p.dewey.clone(), i), (p.dewey.child(0), i + 1)] {
+                    let mut col = DeweyColumn::default();
+                    col.load(b, &page, e.offset as usize).unwrap();
+                    assert_eq!(col.lower_bound(&page, target.components()).unwrap(), at);
+                    assert_eq!(col.len(), (at + 1).min(block.len()), "decoded past the answer");
+                }
+            }
+            let mut col = DeweyColumn::default();
+            col.load(b, &page, e.offset as usize).unwrap();
+            assert_eq!(col.last(&page).unwrap(), block.len() - 1);
+            for (i, p) in block.iter().enumerate() {
+                let mut got = Posting { elem: 7, ..Posting::default() };
+                col.posting(&page, i, &mut got).unwrap();
+                assert_eq!(got, Posting { elem: 0, ..p.clone() });
+            }
+        }
+    }
+
+    #[test]
+    fn column_on_damaged_bytes_is_an_error_not_a_panic() {
+        let (pool, hdil, _) = block_list();
+        let e = hdil.dil.info(TERM).unwrap().skip.blocks[1].clone();
+        let clean = pin_page(&pool, hdil.dil.segment, e.page).unwrap().to_vec();
+        let (off, mut typed) = (e.offset as usize, 0);
+        for at in off..(off + 400).min(PAGE_SIZE) {
+            for flip in [0x80u8, 0x7f, 0xff] {
+                let mut page = clean.clone();
+                page[at] ^= flip;
+                // The CRC would have caught this; the column must still
+                // not trust what it reads.
+                let mut col = DeweyColumn::default();
+                let whole = col.load(1, &page, off).and_then(|()| col.last(&page)).and_then(|last| {
+                    let mut p = Posting::default();
+                    (0..=last).try_for_each(|i| col.posting(&page, i, &mut p))
+                });
+                typed += whole.is_err() as u32;
+            }
+        }
+        assert!(typed > 0, "some damage must be detectable by the decoder itself");
+        // A block that claims to run past the page ends in an error.
+        let mut col = DeweyColumn::default();
+        let short = &clean[..off + 20];
+        assert!(col.load(1, short, off).and_then(|()| col.last(short)).is_err());
+        assert!(col.load(1, &clean, PAGE_SIZE + 1).is_err());
+    }
+
     fn target() -> impl Strategy<Value = DeweyId> {
         // Around the list's ID space: [0..60, 0, 0..100(, 1..4)], plus
         // shallower and deeper neighbours and IDs off both ends.
@@ -791,7 +1120,7 @@ mod tests {
                     _ => DeweyId::from([1]),
                 };
                 let fresh = hdil.probe_cursor(term).lowest_geq(&pool, &target).unwrap();
-                let keep = kept(&target, fresh.0.as_ref(), fresh.1.as_ref());
+                let keep = keep_of(&target, &fresh);
                 match cursor.memo.lookup(&target) {
                     Some((entry, pred)) => {
                         let hit = (entry.cloned(), pred.cloned());
@@ -832,6 +1161,238 @@ mod tests {
             targets.reverse();
             if let Err(e) = check_walk(&pool, &hdil, &postings, &targets) {
                 prop_assert!(false, "reverse walk: {e}");
+            }
+        }
+    }
+
+    /// Index in `postings` of each block's first entry, and the list's
+    /// length last.
+    fn block_starts(skip: &SkipTable, postings: &[Posting]) -> Vec<usize> {
+        let first = |b: &crate::block::SkipEntry| codec::decode_id(&b.first_key).unwrap();
+        let mut starts: Vec<usize> =
+            skip.blocks.iter().map(|b| postings.partition_point(|p| p.dewey < first(b))).collect();
+        starts.push(postings.len());
+        starts
+    }
+
+    /// One step of a cursor's life in the Figure 7 loop.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Remembered(Target),
+        Kept(Target),
+        Scan(Target),
+    }
+
+    /// A probe target or scan prefix, resolved against [`block_list`].
+    #[derive(Debug, Clone)]
+    enum Target {
+        /// Anywhere in (and around) the list's ID space.
+        Any(DeweyId),
+        /// The first key of block `i % blocks` (its predecessor is the
+        /// previous block's last posting).
+        BlockFirst(usize),
+        /// Strictly between block `i % blocks`'s last posting and the next
+        /// block's first.
+        BlockGap(usize),
+        /// The `i % len`-th posting, or a prefix of it.
+        Posting(usize, usize),
+        BelowFirst,
+        PastLast,
+    }
+
+    impl Target {
+        fn resolve(&self, postings: &[Posting], skip: &SkipTable) -> DeweyId {
+            let blocks = skip.blocks.len();
+            let first = |i: usize| codec::decode_id(&skip.blocks[i % blocks].first_key).unwrap();
+            match self {
+                Target::Any(d) => d.clone(),
+                Target::BlockFirst(i) => first(*i),
+                Target::BlockGap(i) => {
+                    let next = first(*i + 1);
+                    postings[postings.partition_point(|p| p.dewey < next).max(1) - 1].dewey.child(7)
+                }
+                Target::Posting(i, cut) => {
+                    let d = &postings[i % postings.len()].dewey;
+                    d.prefix(d.len().saturating_sub(*cut))
+                }
+                Target::BelowFirst => DeweyId::default(),
+                Target::PastLast => postings.last().unwrap().dewey.child(0),
+            }
+        }
+    }
+
+    fn cursor_target() -> impl Strategy<Value = Target> {
+        prop_oneof![
+            4 => target().prop_map(Target::Any),
+            1 => (0usize..64).prop_map(Target::BlockFirst),
+            1 => (0usize..64).prop_map(Target::BlockGap),
+            3 => (0usize..3000, 0usize..4).prop_map(|(i, cut)| Target::Posting(i, cut)),
+            1 => Just(Target::BelowFirst),
+            1 => Just(Target::PastLast),
+        ]
+    }
+
+    fn cursor_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            1 => cursor_target().prop_map(Op::Remembered),
+            3 => cursor_target().prop_map(Op::Kept),
+            2 => cursor_target().prop_map(Op::Scan),
+        ]
+    }
+
+    /// Runs `ops` through one cursor and checks every answer, every work
+    /// clock increment and every range scan's page reads against a
+    /// brute-force reading of the list.
+    fn check_ops(
+        pool: &BufferPool<FaultStore<MemStore>>,
+        hdil: &HdilIndex,
+        postings: &[Posting],
+        ops: &[Op],
+    ) -> Result<(), String> {
+        let skip = hdil.dil.info(TERM).unwrap().skip.clone();
+        let starts = block_starts(&skip, postings);
+        let block_of = |i: usize| starts.partition_point(|&s| s <= i) - 1;
+        let landing = |t: &DeweyId| skip.last_leq(&codec::encode_id(t)).unwrap_or(0);
+        let mut cur = hdil.probe_cursor(TERM);
+        let mut run = PostingRun::default();
+        for (n, op) in ops.iter().enumerate() {
+            let (decoded, stats, reads) =
+                (cur.postings_decoded(), cur.stats(), pool.stats().logical_reads());
+            match op {
+                Op::Remembered(t) => {
+                    let t = t.resolve(postings, &skip);
+                    if let Some(keep) = cur.remembered(&t) {
+                        if keep != keep_of(&t, &oracle(postings, &t)) {
+                            return Err(format!("op {n}: remembered {keep} at {t}"));
+                        }
+                    }
+                    if (cur.postings_decoded(), pool.stats().logical_reads()) != (decoded, reads) {
+                        return Err(format!("op {n}: a memo lookup did work at {t}"));
+                    }
+                }
+                Op::Kept(t) => {
+                    let t = t.resolve(postings, &skip);
+                    let keep = cur.kept_prefix(pool, &t).map_err(|e| format!("op {n}: {e}"))?;
+                    if keep != keep_of(&t, &oracle(postings, &t)) {
+                        return Err(format!("op {n}: kept {keep} at {t}"));
+                    }
+                    // From the landing block's start through the answer,
+                    // plus a neighbour's boundary entries.
+                    let b = landing(&t);
+                    let (first, end) = (starts[b], starts[b + 1]);
+                    let at = postings.partition_point(|p| p.dewey < t);
+                    let mut want = if at < end { at - first + 1 } else { end - first };
+                    want += (at >= end && b + 1 < skip.blocks.len()) as usize;
+                    want += if at == first && b > 0 { first - starts[b - 1] } else { 0 };
+                    if cur.postings_decoded() - decoded != want as u64 {
+                        let got = cur.postings_decoded() - decoded;
+                        return Err(format!("op {n}: probe at {t} counted {got}, want {want}"));
+                    }
+                    if cur.stats().probes != stats.probes + 1 {
+                        return Err(format!("op {n}: probe not counted"));
+                    }
+                }
+                Op::Scan(t) => {
+                    let prefix = t.resolve(postings, &skip);
+                    let got = cur
+                        .scan_prefix(pool, &prefix, &mut run)
+                        .map_err(|e| format!("op {n}: {e}"))?;
+                    let inside = |p: &Posting| prefix.is_ancestor_or_self_of(&p.dewey);
+                    let want: Vec<Posting> = postings
+                        .iter()
+                        .filter(|p| inside(p))
+                        .map(|p| Posting { elem: 0, ..p.clone() })
+                        .collect();
+                    if run.as_slice() != want.as_slice() {
+                        return Err(format!("op {n}: scan under {prefix} differs"));
+                    }
+                    let b = landing(&prefix);
+                    let stop = postings.partition_point(|p| p.dewey < prefix || inside(p));
+                    let count = (stop + 1).min(postings.len()) - starts[b];
+                    if got != count as u64 {
+                        let want = format!("counted {got}, want {count}");
+                        return Err(format!("op {n}: scan under {prefix} {want}"));
+                    }
+                    // A page read per page entered, as a fresh reader's.
+                    let last = block_of(stop.min(postings.len() - 1));
+                    let pages = (b..=last)
+                        .filter(|&i| i == b || skip.blocks[i].page != skip.blocks[i - 1].page)
+                        .count() as u64;
+                    if pool.stats().logical_reads() - reads != pages {
+                        return Err(format!("op {n}: scan under {prefix} read off the ledger"));
+                    }
+                    if (cur.stats(), cur.postings_decoded()) != (stats, decoded) {
+                        return Err(format!("op {n}: a scan moved the probe counters"));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Random interleavings of the three cursor operations — forward
+        /// and backward targets, block and page boundaries, targets off
+        /// both ends — agree with a brute-force decode of the list, with
+        /// the work clock of a scan from each landing block's start, and
+        /// with a fresh reader's page reads.
+        #[test]
+        fn cursor_ops_match_brute_force(ops in proptest::collection::vec(cursor_op(), 1..60)) {
+            let (pool, hdil, postings) = block_list();
+            if let Err(e) = check_ops(&pool, &hdil, &postings, &ops) {
+                prop_assert!(false, "{e}");
+            }
+        }
+
+        /// Damage under a warm cursor is a typed error, never a panic:
+        /// bytes flipped on the medium fail the checksum of the next pin
+        /// that reads them, and bytes flipped and re-sealed under a
+        /// partly decoded column fail the decoder or decode to something
+        /// — but never crash it.
+        #[test]
+        fn flipped_bytes_under_a_cached_column_are_corrupt(
+            warm in proptest::collection::vec(cursor_op(), 1..20),
+            after in proptest::collection::vec(cursor_op(), 1..20),
+            page_at in 0u32..64,
+            byte in 6usize..PAGE_SIZE,
+            flip in 1u8..=255,
+            resealed in any::<bool>(),
+        ) {
+            let (mut pool, hdil, postings) = block_list();
+            let skip = hdil.dil.info(TERM).unwrap().skip.clone();
+            let meta = hdil.dil.info(TERM).unwrap().meta;
+            let id = PageId::new(hdil.dil.segment, meta.start_page + page_at % meta.page_count);
+            let mut cur = hdil.probe_cursor(TERM);
+            let mut run = PostingRun::default();
+            let mut apply = |pool: &BufferPool<FaultStore<MemStore>>, op: &Op| match op {
+                Op::Remembered(t) => {
+                    cur.remembered(&t.resolve(&postings, &skip));
+                    Ok(())
+                }
+                Op::Kept(t) => cur.kept_prefix(pool, &t.resolve(&postings, &skip)).map(drop),
+                Op::Scan(t) => {
+                    cur.scan_prefix(pool, &t.resolve(&postings, &skip), &mut run).map(drop)
+                }
+            };
+            for op in &warm {
+                apply(&pool, op).unwrap();
+            }
+            if resealed {
+                let mut page = pool.read(id).unwrap().to_vec();
+                page[byte] ^= flip;
+                listio::reseal(&mut page);
+                pool.write_page(id, &page).unwrap();
+            } else {
+                pool.store().inject(FaultRule::new(FaultKind::BitFlip, FaultAt::Page(id)));
+                pool.clear_cache();
+            }
+            for op in &after {
+                match apply(&pool, op) {
+                    Ok(()) | Err(StorageError::Corrupt { .. }) => {}
+                    Err(other) => prop_assert!(false, "untyped failure: {other:?}"),
+                }
             }
         }
     }

@@ -151,6 +151,14 @@ fn seal(page: &mut Vec<u8>, n: u16) {
     page[0..COUNT_OFF].copy_from_slice(&crc.to_le_bytes());
 }
 
+/// Re-stamps the checksum of a sealed page whose bytes a test changed in
+/// place.
+#[cfg(test)]
+pub(crate) fn reseal(page: &mut Vec<u8>) {
+    let n = u16::from_le_bytes([page[COUNT_OFF], page[COUNT_OFF + 1]]);
+    seal(page, n);
+}
+
 /// Verifies a page's checksum. Out of line on purpose: [`pin_page`] is
 /// inlined into every reader's decode loop, and the mismatch formatting
 /// has no business there.
@@ -857,65 +865,6 @@ impl<C: BlockCodec> ListReader<C> {
     }
 }
 
-/// What one [`scan_block`] call found: Dewey IDs only — a probe reads
-/// nothing else of its answer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockScan {
-    /// ID of the block's last posting sorting below the target (`None`
-    /// when the block's first posting already reaches it).
-    pub below: Option<DeweyId>,
-    /// ID of the block's first posting at or above the target (`None` when
-    /// the whole block sorts below it, or no target was given).
-    pub at_or_above: Option<DeweyId>,
-    /// Entries examined.
-    pub decoded: u32,
-}
-
-/// Scans the posting block whose count varint sits at `page[offset..]` up
-/// to the first posting with `dewey >= target` — the unit of work of an
-/// HDIL probe, which the skip table has already narrowed to this one
-/// block. With no target the whole block is passed and `below` is its last
-/// posting. IDs are decoded into two reused buffers and compared; ranks
-/// and positions are skipped, and the (at most two) answering IDs are
-/// moved out of the buffers. `page` must already be checksummed (see
-/// [`pin_page`]).
-pub fn scan_block(
-    page: &[u8],
-    offset: usize,
-    target: Option<&DeweyId>,
-) -> StorageResult<BlockScan> {
-    let rest = |off: usize| {
-        page.get(off..).ok_or_else(|| StorageError::corrupt("block scan overruns page"))
-    };
-    let bad = |e: DecodeError| StorageError::corrupt(format!("block scan: {e}"));
-
-    let (count, n) = codec::read_component(rest(offset)?).map_err(bad)?;
-    let mut off = offset + n;
-    off += block::RankDict::read(rest(off)?, &mut Vec::new()).map_err(bad)?;
-    // `cur`: the entry just decoded; `prev`: the one before it (the delta
-    // base, and the predecessor on a hit).
-    let (mut cur, mut prev) = (Vec::new(), Vec::new());
-    for i in 0..count {
-        std::mem::swap(&mut cur, &mut prev);
-        off += block::decode_dewey_into(&prev, rest(off)?, &mut cur).map_err(bad)?;
-        if target.is_some_and(|t| cur.as_slice() >= t.components()) {
-            return Ok(BlockScan {
-                below: (i > 0).then(|| DeweyId::from_components(prev)),
-                at_or_above: Some(DeweyId::from_components(cur)),
-                decoded: i + 1,
-            });
-        }
-        let (_, n) = codec::read_component(rest(off)?).map_err(bad)?;
-        off += n;
-        off += posting::skip_positions(rest(off)?).map_err(bad)?;
-    }
-    Ok(BlockScan {
-        below: (count > 0).then(|| DeweyId::from_components(cur)),
-        at_or_above: None,
-        decoded: count,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1012,61 +961,6 @@ mod tests {
         let head = seeker.peek(&pool).unwrap().map(|p| p.dewey.clone());
         seeker.next_seek(&pool, &DeweyId::from([0, 0, 0, 0])).unwrap();
         assert_eq!(seeker.peek(&pool).unwrap().map(|p| p.dewey.clone()), head);
-    }
-
-    #[test]
-    fn scan_block_matches_a_full_block_decode() {
-        let mut pool = BufferPool::new(MemStore::new(), 64);
-        let seg = pool.store_mut().create_segment().unwrap();
-        let ps = postings(300);
-        let w = write_list(&mut pool, seg, PostingCodec, &ps, PAGE_SIZE).unwrap();
-        let skip = w.skip;
-        assert!(skip.blocks.len() >= 3);
-        for b in &skip.blocks {
-            let page = pin_page(&pool, seg, b.page).unwrap();
-            let mut block = Vec::new();
-            block::decode_block(&page, b.offset as usize, &mut block).unwrap();
-            // Every posting of the block, and the gap right after it.
-            let id = |j: usize| block.get(j).map(|p| &p.dewey);
-            for (i, p) in block.iter().enumerate() {
-                for (target, at) in [(p.dewey.clone(), i), (p.dewey.child(0), i + 1)] {
-                    let scan = scan_block(&page, b.offset as usize, Some(&target)).unwrap();
-                    assert_eq!(scan.at_or_above.as_ref(), id(at), "at {target}");
-                    assert_eq!(scan.below.as_ref(), at.checked_sub(1).and_then(id));
-                    assert_eq!(scan.decoded as usize, (at + 1).min(block.len()));
-                }
-            }
-            let whole = scan_block(&page, b.offset as usize, None).unwrap();
-            let last = block.last().map(|p| &p.dewey);
-            assert_eq!((whole.below.as_ref(), whole.at_or_above), (last, None));
-            assert_eq!(whole.decoded as usize, block.len());
-        }
-    }
-
-    #[test]
-    fn scan_block_on_damaged_bytes_is_an_error_not_a_panic() {
-        let mut pool = BufferPool::new(MemStore::new(), 64);
-        let seg = pool.store_mut().create_segment().unwrap();
-        let ps = postings(100);
-        let w = write_list(&mut pool, seg, PostingCodec, &ps, PAGE_SIZE).unwrap();
-        let b = &w.skip.blocks[0];
-        let clean = pool.read(PageId::new(seg, b.page)).unwrap().to_vec();
-        let used = w.meta.used_bytes as usize;
-        let mut typed = 0;
-        for at in b.offset as usize..used {
-            for flip in [0x80u8, 0x7f, 0xff] {
-                let mut page = clean.clone();
-                page[at] ^= flip;
-                // The CRC would have caught this; the scan must still not
-                // trust what it reads.
-                typed += scan_block(&page, b.offset as usize, None).is_err() as u32;
-                let _ = scan_block(&page, b.offset as usize, Some(&ps[60].dewey));
-            }
-        }
-        assert!(typed > 0, "some damage must be detectable by the decoder itself");
-        // A block that claims to run past the page ends in an error.
-        assert!(scan_block(&clean[..used - 3], b.offset as usize, None).is_err());
-        assert!(scan_block(&clean, PAGE_SIZE + 1, None).is_err());
     }
 
     #[test]

@@ -77,12 +77,6 @@ impl PostingRun {
         self.len += 1;
         &mut self.slots[self.len - 1]
     }
-
-    /// Replaces the run with postings a producer built itself.
-    pub fn set(&mut self, postings: Vec<Posting>) {
-        self.len = postings.len();
-        self.slots = postings;
-    }
 }
 
 /// Appends `rank` + positions payload (no Dewey) to `out`.

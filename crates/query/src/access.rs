@@ -36,6 +36,12 @@ pub trait ProbeCursor<S: PageStore> {
 
     /// Posting entries the probes so far decoded to find their answers.
     fn postings_decoded(&self) -> u64;
+
+    /// Compressed list blocks the probes and range scans so far decoded
+    /// (HDIL, whose leaves are list blocks; a B+-tree leaf is not one).
+    fn blocks_decoded(&self) -> u64 {
+        0
+    }
 }
 
 impl<S: PageStore> ProbeCursor<S> for RdilProbeCursor {
@@ -67,6 +73,10 @@ impl<S: PageStore> ProbeCursor<S> for HdilProbeCursor {
 
     fn postings_decoded(&self) -> u64 {
         HdilProbeCursor::postings_decoded(self)
+    }
+
+    fn blocks_decoded(&self) -> u64 {
+        HdilProbeCursor::blocks_decoded(self)
     }
 }
 
@@ -123,15 +133,14 @@ pub trait RankedAccess<S: PageStore> {
     /// Pages in the full Dewey list of `term` (DIL cost estimate).
     fn full_list_pages(&self, term: TermId) -> u32;
 
-    /// Range scan (Figure 7 line 19): every posting of `term` under
+    /// Range scan (Figure 7 line 19): every posting of the keyword under
     /// `prefix`, in Dewey order, into `out`; returns the entries decoded
-    /// to produce them. `cursor` is `term`'s probe cursor, which RDIL
-    /// starts the scan from.
+    /// to produce them. `cursor` is the keyword's probe cursor, which the
+    /// scan starts from (RDIL: its pinned leaf; HDIL: its decoded block).
     fn scan_prefix(
         &self,
         pool: &BufferPool<S>,
         cursor: &mut Self::Cursor,
-        term: TermId,
         prefix: &DeweyId,
         out: &mut PostingRun,
     ) -> StorageResult<u64>;
@@ -164,7 +173,6 @@ impl<S: PageStore> RankedAccess<S> for RdilIndex {
         &self,
         pool: &BufferPool<S>,
         cursor: &mut RdilProbeCursor,
-        _term: TermId,
         prefix: &DeweyId,
         out: &mut PostingRun,
     ) -> StorageResult<u64> {
@@ -200,14 +208,12 @@ impl<S: PageStore> RankedAccess<S> for HdilIndex {
     fn scan_prefix(
         &self,
         pool: &BufferPool<S>,
-        _cursor: &mut HdilProbeCursor,
-        term: TermId,
+        cursor: &mut HdilProbeCursor,
         prefix: &DeweyId,
         out: &mut PostingRun,
     ) -> StorageResult<u64> {
-        // The skip-table block scan, not a tree walk: HDIL stores no tree.
-        let (postings, decoded) = HdilIndex::prefix_postings(self, pool, term, prefix)?;
-        out.set(postings);
-        Ok(decoded)
+        // From the block the skip table names, through the cursor's
+        // decoded column of it.
+        cursor.scan_prefix(pool, prefix, out)
     }
 }

@@ -487,8 +487,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn agrees_with_dil_across_m_values() {
+    fn gamma_delta_xml() -> String {
         let mut xml = String::from("<corpus>");
         for i in 0..120 {
             xml.push_str(&format!(
@@ -496,8 +495,12 @@ mod tests {
                 i % 5
             ));
         }
-        xml.push_str("</corpus>");
-        let (pool, dil, hdil, c) = setup(&xml);
+        xml + "</corpus>"
+    }
+
+    #[test]
+    fn agrees_with_dil_across_m_values() {
+        let (pool, dil, hdil, c) = setup(&gamma_delta_xml());
         let q = terms(&c, &["gamma", "delta"]);
         for m in [1usize, 4, 25] {
             let opts = QueryOptions { top_m: m, ..Default::default() };
@@ -509,6 +512,74 @@ mod tests {
                 assert!((a.score - b.score).abs() < 1e-9, "m={m}");
             }
         }
+    }
+
+    /// The §4.4.2 work clock and every switch decision on this module's
+    /// corpora, warm and cold, pinned to the values the block-scan probe
+    /// produced: a change that saves decode work must still count the
+    /// entries a scan from the landing block's start passes, and read and
+    /// classify the same pages. `blocks_decoded` is left out — it counts
+    /// how the work is done, not what the query does.
+    #[test]
+    fn work_clock_and_decisions_match_the_golden_values() {
+        let corpora = [
+            (correlated_xml(), ["alpha", "beta"], &[5usize][..]),
+            (uncorrelated_xml(), ["alpha", "beta"], &[5][..]),
+            (gamma_delta_xml(), ["gamma", "delta"], &[1, 4, 25][..]),
+        ];
+        let mut got = Vec::new();
+        for (xml, kws, ms) in &corpora {
+            let (pool, _, hdil, c) = setup(xml);
+            let q = terms(&c, kws);
+            for &m in *ms {
+                let opts = QueryOptions { top_m: m, ..Default::default() };
+                for warm in [true, false] {
+                    if warm {
+                        warm_all_but(&pool, None);
+                    } else {
+                        pool.clear_cache();
+                    }
+                    let scope = StatsScope::begin();
+                    let out = evaluate(&pool, &hdil, &q, &opts, &CostModel::default()).unwrap();
+                    let io = scope.finish();
+                    let s = out.stats;
+                    got.push(format!(
+                        "{} m={m} {}: entries={} probes={} memo={} seeks={}/{}/{} scans={} \
+                         skipped={} decoded={} io={}/{}/{} switch={:?}",
+                        kws.join("+"),
+                        if warm { "warm" } else { "cold" },
+                        s.entries_scanned,
+                        s.btree_probes,
+                        s.probe_memo_hits,
+                        s.cursor_seeks,
+                        s.cursor_seeks_back,
+                        s.cursor_descents,
+                        s.range_scans,
+                        s.blocks_skipped,
+                        s.postings_decoded,
+                        io.seq_reads,
+                        io.rand_reads,
+                        io.cache_hits,
+                        s.switch,
+                    ));
+                    assert_eq!(s.hash_probes, 0);
+                    assert_eq!(s.switched_to_dil, s.switch.is_some());
+                }
+            }
+        }
+        let golden: &[&str] = &[
+            "alpha+beta m=5 warm: entries=9 probes=9 memo=0 seeks=7/0/2 scans=10 skipped=0 decoded=74 io=0/0/14 switch=None",
+            "alpha+beta m=5 cold: entries=9 probes=9 memo=0 seeks=7/0/2 scans=10 skipped=0 decoded=74 io=1/3/10 switch=None",
+            "alpha+beta m=5 warm: entries=610 probes=8 memo=0 seeks=6/0/2 scans=2 skipped=0 decoded=1236 io=0/0/8 switch=Some(SwitchDecision { clock: Work, spent: 634.0, rdil_remaining: None, dil_estimate: 602.0, confirmed: 0, reason: NoProgressBudget })",
+            "alpha+beta m=5 cold: entries=610 probes=8 memo=0 seeks=6/0/2 scans=2 skipped=0 decoded=1236 io=0/4/4 switch=Some(SwitchDecision { clock: Io, spent: 100.04, rdil_remaining: None, dil_estimate: 50.0, confirmed: 0, reason: NoProgressBudget })",
+            "gamma+delta m=1 warm: entries=3 probes=3 memo=0 seeks=1/0/2 scans=4 skipped=0 decoded=20 io=0/0/8 switch=None",
+            "gamma+delta m=1 cold: entries=3 probes=3 memo=0 seeks=1/0/2 scans=4 skipped=0 decoded=20 io=0/4/4 switch=None",
+            "gamma+delta m=4 warm: entries=15 probes=15 memo=3 seeks=10/0/2 scans=16 skipped=0 decoded=167 io=0/0/20 switch=None",
+            "gamma+delta m=4 cold: entries=488 probes=8 memo=2 seeks=4/0/2 scans=8 skipped=0 decoded=536 io=0/4/10 switch=Some(SwitchDecision { clock: Io, spent: 100.16, rdil_remaining: Some(100.16), dil_estimate: 50.0, confirmed: 2, reason: EstimateExceeded })",
+            "gamma+delta m=25 warm: entries=496 probes=16 memo=4 seeks=10/0/2 scans=16 skipped=0 decoded=648 io=0/0/22 switch=Some(SwitchDecision { clock: Work, spent: 168.0, rdil_remaining: Some(882.0), dil_estimate: 480.0, confirmed: 4, reason: EstimateExceeded })",
+            "gamma+delta m=25 cold: entries=488 probes=8 memo=2 seeks=4/0/2 scans=8 skipped=0 decoded=536 io=0/4/10 switch=Some(SwitchDecision { clock: Io, spent: 100.16, rdil_remaining: Some(1151.84), dil_estimate: 50.0, confirmed: 2, reason: EstimateExceeded })",
+        ];
+        assert_eq!(got, golden);
     }
 
     #[test]

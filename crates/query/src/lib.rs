@@ -228,8 +228,9 @@ pub struct EvalStats {
     /// cursor_seeks_back + cursor_descents` on the cursor-driven path).
     pub btree_probes: u64,
     /// Probes answered from the per-term gap memo without touching the
-    /// list at all (HDIL, whose probe is a block scan; an RDIL probe on
-    /// its pinned leaf costs less than a memo lookup, so RDIL keeps none).
+    /// list at all (HDIL, whose probe searches a list block; an RDIL probe
+    /// on its pinned leaf costs less than a memo lookup, so RDIL keeps
+    /// none).
     pub probe_memo_hits: u64,
     /// Probes served by a stateful cursor seeking forward from its pinned
     /// leaf (no root re-descent).
@@ -242,15 +243,17 @@ pub struct EvalStats {
     pub cursor_descents: u64,
     /// Hash-index lookups issued.
     pub hash_probes: u64,
-    /// Compressed list blocks decoded.
+    /// Compressed list blocks decoded: by the list readers, and (HDIL) each
+    /// block a probe or range scan loaded into its keyword cursor's
+    /// decoded column.
     pub blocks_decoded: u64,
     /// Compressed list blocks skipped whole — their skip entry proved no
     /// needed posting could live inside, so they were never decoded.
     pub blocks_skipped: u64,
     /// Posting entries decoded off list pages and B+-tree leaves, whether
     /// or not the algorithm went on to use them: entries a reader yielded
-    /// or dropped while seeking, entries a probe's block scan passed, and
-    /// the entries a range scan read. HDIL's monitor uses it as its clock
+    /// or dropped while seeking, entries a probe passed from its landing
+    /// block's start (cached or not), and the entries a range scan read. HDIL's monitor uses it as its clock
     /// when the pool is warm (see [`SwitchDecision::clock`]).
     pub postings_decoded: u64,
     /// Prefix range scans issued.

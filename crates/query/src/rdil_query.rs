@@ -168,6 +168,7 @@ impl<'a, S: PageStore, A: RankedAccess<S>> RdilRun<'a, S, A> {
             s.postings_decoded += r.decoded();
         }
         for c in &self.cursors {
+            s.blocks_decoded += c.blocks_decoded();
             s.postings_decoded += c.postings_decoded();
         }
         s
@@ -316,9 +317,9 @@ impl<'a, S: PageStore, A: RankedAccess<S>> RdilRun<'a, S, A> {
     fn score_candidate(&mut self, pool: &BufferPool<S>) -> Result<Option<f64>, QueryError> {
         let (lcp, opts, n) = (&self.lcp, &self.opts, self.terms.len());
         let scan_span = self.trace.span(Stage::RangeScan);
-        for ((&t, cursor), run) in self.terms.iter().zip(&mut self.cursors).zip(&mut self.scans) {
+        for (cursor, run) in self.cursors.iter_mut().zip(&mut self.scans) {
             self.stats.range_scans += 1;
-            self.stats.postings_decoded += self.access.scan_prefix(pool, cursor, t, lcp, run)?;
+            self.stats.postings_decoded += self.access.scan_prefix(pool, cursor, lcp, run)?;
         }
         drop(scan_span);
         let per_kw: Vec<&[Posting]> = self.scans.iter().map(PostingRun::as_slice).collect();
