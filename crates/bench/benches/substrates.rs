@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the substrates: Dewey codec, B+-tree
 //! probes, posting-list reads, RDIL's and HDIL's Figure 7 loop, the two
-//! halves of an engine open, XML parsing, tokenization.
+//! halves of an engine open, one engine query with its envelope (result
+//! presentation and the flight record), XML parsing, tokenization.
 //!
 //! Run with `cargo bench -p xrank-bench --bench substrates`. The shim
 //! prints min / mean / max per benchmark; compare minimums, which see
@@ -8,6 +9,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
+use xrank_core::{EngineBuilder, EngineConfig, Strategy, XRankEngine};
+use xrank_datagen::plant::{high_keyword, PlantConfig};
 use xrank_dewey::{codec, DeweyId};
 use xrank_graph::{Collection, CollectionBuilder, TermId};
 use xrank_index::posting::Posting;
@@ -260,6 +263,60 @@ fn bench_open(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn planted_engine(docs: &[(String, String)]) -> XRankEngine {
+    let mut b = EngineBuilder::with_config(EngineConfig { with_rdil: true, ..Default::default() });
+    for (uri, xml) in docs {
+        b.add_xml(uri, xml).unwrap();
+    }
+    b.build()
+}
+
+/// `XRankEngine::query` end to end on a warm pool: tokenize, evaluate,
+/// present the top 10 (Dewey → element, path, snippet, URI) and, with
+/// the recorder on, trace the query and hand the trace to the flight
+/// recorder. `rdil-2kw` is one correlated two-keyword RDIL query over a
+/// dblp(2 000) engine, timed with the recorder on and off; `hdil-deep`
+/// is an HDIL query over xmark(0.2) whose hits sit at depth 5 and below.
+fn bench_engine(c: &mut Criterion) {
+    let plant = Some(PlantConfig::default());
+    let dblp = planted_engine(
+        &xrank_datagen::dblp::generate(&xrank_datagen::dblp::DblpConfig {
+            plant,
+            ..Default::default()
+        })
+        .docs,
+    );
+    let xmark = planted_engine(
+        &xrank_datagen::xmark::generate(&xrank_datagen::xmark::XmarkConfig {
+            scale: 0.2,
+            plant,
+            ..Default::default()
+        })
+        .docs,
+    );
+    let query = format!("{} {}", high_keyword(0, 0), high_keyword(0, 1));
+    let opts = QueryOptions { top_m: 10, ..Default::default() };
+    assert_eq!(dblp.query(&query, Strategy::Rdil, &opts).unwrap().hits.len(), 10);
+    let deep = xmark.query(&query, Strategy::Hdil, &opts).unwrap();
+    assert_eq!(deep.hits.len(), 10);
+    assert!(deep.hits.iter().all(|h| h.path.len() >= 5), "shallow xmark hits");
+
+    let mut g = c.benchmark_group("engine");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(1));
+    for on in [true, false] {
+        dblp.recorder().set_enabled(on);
+        let id = format!("query-rdil-2kw/recorder-{}", if on { "on" } else { "off" });
+        g.bench_function(id, |b| {
+            b.iter(|| black_box(dblp.query(&query, Strategy::Rdil, &opts).unwrap()))
+        });
+    }
+    g.bench_function("query-hdil-deep-xmark/recorder-on", |b| {
+        b.iter(|| black_box(xmark.query(&query, Strategy::Hdil, &opts).unwrap()))
+    });
+    g.finish();
+}
+
 fn bench_xml_parse(c: &mut Criterion) {
     let ds = xrank_datagen::xmark::generate(&xrank_datagen::xmark::XmarkConfig {
         scale: 0.2,
@@ -284,6 +341,7 @@ criterion_group!(
     bench_list,
     bench_rdil,
     bench_open,
+    bench_engine,
     bench_xml_parse
 );
 criterion_main!(benches);

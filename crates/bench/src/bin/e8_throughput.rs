@@ -523,9 +523,10 @@ fn main() {
         if overhead_ok { "within tolerance" } else { "REGRESSION" }
     );
     // Flight-recorder gate: the same point with the recorder retaining
-    // every query trace vs fully off. Recording clones the finished trace
-    // into a bounded ring behind a short mutex hold, so recorder-on
-    // throughput must stay >= 0.9x recorder-off throughput.
+    // every query trace vs fully off. Recording traces each query and
+    // moves the finished trace into a bounded ring behind a short mutex
+    // hold, so recorder-on throughput must stay >= 0.9x recorder-off
+    // throughput.
     let mut rec_on_qps = 0.0f64;
     let mut rec_off_qps = 0.0f64;
     for _ in 0..TRIALS {

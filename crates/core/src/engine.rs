@@ -310,7 +310,10 @@ pub struct XRankEngine<S: PageStore = MemStore> {
 }
 
 impl<S: PageStore> XRankEngine<S> {
-    /// Searches with the default (HDIL adaptive) strategy.
+    /// Searches with the default (HDIL adaptive) strategy. Like
+    /// [`XRankEngine::search_with`], it empties the shared buffer pool
+    /// first (a cold-start query, as in the paper's experiments), so it
+    /// is not for concurrent callers; they use [`XRankEngine::query`].
     pub fn search(&self, query: &str, m: usize) -> Result<SearchResults, QueryError> {
         let opts = QueryOptions { top_m: m, ..self.config.query.clone() };
         self.search_with(query, Strategy::Hdil, &opts)
@@ -319,7 +322,9 @@ impl<S: PageStore> XRankEngine<S> {
     /// Disjunctive search (Section 2.2's "at least one keyword"
     /// semantics): a ranked union over the direct containers of each
     /// keyword. Unknown keywords are dropped instead of emptying the
-    /// result.
+    /// result. It empties the shared buffer pool first, like
+    /// [`XRankEngine::search`], so it is not for concurrent callers;
+    /// they use [`XRankEngine::query`] (conjunctive only).
     pub fn search_any(&self, query: &str, m: usize) -> Result<SearchResults, QueryError> {
         let opts = QueryOptions { top_m: m, ..self.config.query.clone() };
         let terms: Vec<TermId> = xrank_graph::tokenize(query)
@@ -354,7 +359,7 @@ impl<S: PageStore> XRankEngine<S> {
             } else {
                 OpOutcome::Ok
             };
-            self.recorder.record(OpKind::Query, &op_label("any", query), start, outcome_kind, &trace);
+            self.recorder.record(OpKind::Query, op_label("any", query), start, outcome_kind, trace);
         }
         Ok(SearchResults {
             hits,
@@ -529,10 +534,10 @@ impl<S: PageStore> XRankEngine<S> {
                     let origin = trace.origin();
                     self.recorder.record(
                         OpKind::Query,
-                        &op_label(strategy_label(strategy), query),
+                        op_label(strategy_label(strategy), query),
                         origin,
                         OpOutcome::Error,
-                        &trace.finish(),
+                        trace.finish(),
                     );
                 }
                 return Err(e);
@@ -555,9 +560,12 @@ impl<S: PageStore> XRankEngine<S> {
             attach_pool_events(&trace, &io);
         }
         let origin = trace.origin();
-        let finished = trace.is_enabled().then(|| trace.finish());
+        let mut finished = trace.is_enabled().then(|| trace.finish());
         if record {
-            if let Some(t) = &finished {
+            // The recorder takes the finished trace; only a caller that
+            // asked for it too makes the copy.
+            let kept = if explicit { finished.clone() } else { finished.take() };
+            if let Some(t) = kept {
                 let outcome_kind = if outcome.degraded.is_some() {
                     OpOutcome::Degraded
                 } else {
@@ -565,7 +573,7 @@ impl<S: PageStore> XRankEngine<S> {
                 };
                 self.recorder.record(
                     OpKind::Query,
-                    &op_label(strategy_label(strategy), query),
+                    op_label(strategy_label(strategy), query),
                     origin,
                     outcome_kind,
                     t,
@@ -577,7 +585,7 @@ impl<S: PageStore> XRankEngine<S> {
             eval: outcome.stats,
             io,
             elapsed,
-            trace: if explicit { finished } else { None },
+            trace: finished,
             degraded: outcome.degraded,
         })
     }
@@ -610,25 +618,30 @@ impl<S: PageStore> XRankEngine<S> {
             .collect()
     }
 
-    /// Applies answer-node promotion/HTML-root filtering and renders hits.
+    /// Applies answer-node promotion/HTML-root filtering and renders at
+    /// most `m` hits.
     fn present(
         &self,
         results: Vec<xrank_query::QueryResult>,
         m: usize,
     ) -> Vec<SearchHit> {
-        let mut out: Vec<SearchHit> = Vec::new();
-        let mut seen: HashSet<xrank_dewey::DeweyId> = HashSet::new();
+        let mut out: Vec<SearchHit> = Vec::with_capacity(m.min(results.len()));
+        let mut seen: HashSet<ElemId> = HashSet::with_capacity(out.capacity());
         for r in results {
-            let Some(elem) = self.collection.elem_by_dewey(&r.dewey) else { continue };
-            let target = self.answer_node_for(elem);
-            let dewey = self.collection.element(target).dewey.clone();
-            if !seen.insert(dewey.clone()) {
-                continue; // two results promoted to the same answer node
-            }
-            out.push(self.hit(target, dewey, r.score));
             if out.len() >= m {
                 break;
             }
+            let Some(elem) = self.collection.elem_by_dewey(&r.dewey) else { continue };
+            let target = self.answer_node_for(elem);
+            if !seen.insert(target) {
+                continue; // two results promoted to the same answer node
+            }
+            let dewey = if target == elem {
+                r.dewey
+            } else {
+                self.collection.element(target).dewey.clone()
+            };
+            out.push(self.hit(target, dewey, r.score));
         }
         out
     }
@@ -668,14 +681,15 @@ impl<S: PageStore> XRankEngine<S> {
             cur = node.parent;
         }
         path.reverse();
-        let words = self.collection.subtree_terms(elem);
-        let mut snippet: String = words
-            .iter()
-            .take(16)
-            .copied()
-            .collect::<Vec<_>>()
-            .join(" ");
-        if words.len() > 16 {
+        let mut words = self.collection.subtree_term_iter(elem);
+        let mut snippet = String::new();
+        for (i, w) in words.by_ref().take(16).enumerate() {
+            if i > 0 {
+                snippet.push(' ');
+            }
+            snippet.push_str(w);
+        }
+        if words.next().is_some() {
             snippet.push_str(" …");
         }
         let doc_uri = self

@@ -22,6 +22,11 @@
 //! assert_eq!(hits.hits[0].path.last().map(String::as_str), Some("body"));
 //! ```
 //!
+//! [`XRankEngine::search`] and [`XRankEngine::search_any`] empty the
+//! shared buffer pool before they evaluate (the paper's cold-start
+//! setup), so they are single-stream entry points; concurrent callers use
+//! [`XRankEngine::query`], which reads the warm shared cache.
+//!
 //! The engine also implements the paper's two result-presentation aids
 //! (Section 2.2): *answer nodes* (restrict results to a set of element
 //! tags, promoting deeper matches to their closest answer-node ancestor)

@@ -456,10 +456,10 @@ impl UpdatableXRank {
                     self.umetrics.scrub_repairs.inc();
                     self.recorder.record(
                         OpKind::Repair,
-                        &format!("open-repair seg-{} rebuilt as seg-{new_id}: {damage}", ms.id),
+                        format!("open-repair seg-{} rebuilt as seg-{new_id}: {damage}", ms.id),
                         trace.origin(),
                         OpOutcome::Ok,
-                        &Trace::default(),
+                        Trace::default(),
                     );
                     condemned.push(ms.id);
                     Segment::new(new_id, engine, docs)
@@ -547,10 +547,10 @@ impl UpdatableXRank {
             let origin = trace.origin();
             self.recorder.record(
                 OpKind::Recovery,
-                &format!("recovery seq={seq}"),
+                format!("recovery seq={seq}"),
                 origin,
                 OpOutcome::Ok,
-                &trace.finish(),
+                trace.finish(),
             );
         }
         Ok(())
@@ -633,10 +633,10 @@ impl UpdatableXRank {
             let origin = trace.origin();
             self.recorder.record(
                 OpKind::ManifestSwap,
-                &format!("delete {uri}"),
+                format!("delete {uri}"),
                 origin,
                 OpOutcome::Ok,
-                &trace.finish(),
+                trace.finish(),
             );
         }
         Ok(true)
@@ -674,7 +674,13 @@ impl UpdatableXRank {
                     stats.docs_added,
                     stats.seq
                 );
-                self.recorder.record(OpKind::Commit, &label, origin, OpOutcome::Ok, &stats.trace);
+                self.recorder.record(
+                    OpKind::Commit,
+                    label.clone(),
+                    origin,
+                    OpOutcome::Ok,
+                    stats.trace.clone(),
+                );
                 self.note_slow_op("commit", label, stats.wall, stats.seq, &stats.trace);
                 Ok(stats)
             }
@@ -682,10 +688,10 @@ impl UpdatableXRank {
                 self.umetrics.commit_failures.inc();
                 self.recorder.record(
                     OpKind::Commit,
-                    &format!("commit failed: {e}"),
+                    format!("commit failed: {e}"),
                     origin,
                     OpOutcome::Error,
-                    &trace.finish(),
+                    trace.finish(),
                 );
                 Err(e)
             }
@@ -790,10 +796,10 @@ impl UpdatableXRank {
                     );
                     self.recorder.record(
                         OpKind::Compaction,
-                        &label,
+                        label.clone(),
                         origin,
                         OpOutcome::Ok,
-                        &stats.trace,
+                        stats.trace.clone(),
                     );
                     self.note_slow_op("compaction", label, stats.wall, stats.seq, &stats.trace);
                 }
@@ -808,10 +814,10 @@ impl UpdatableXRank {
                 };
                 self.recorder.record(
                     OpKind::Compaction,
-                    &format!("compaction {}: {e}", outcome.name()),
+                    format!("compaction {}: {e}", outcome.name()),
                     origin,
                     outcome,
-                    &trace.finish(),
+                    trace.finish(),
                 );
                 Err(e)
             }
@@ -1042,10 +1048,10 @@ impl UpdatableXRank {
         drop(gc_span);
         self.recorder.record(
             OpKind::Gc,
-            &format!("gc seq={seq}"),
+            format!("gc seq={seq}"),
             gc_origin,
             OpOutcome::Ok,
-            &gc_trace.finish(),
+            gc_trace.finish(),
         );
         Ok(seq)
     }
@@ -1186,18 +1192,18 @@ impl UpdatableXRank {
             self.umetrics.scrub_corruptions.add(report.corrupt_segments.len() as u64);
             self.recorder.record(
                 OpKind::Scrub,
-                &format!("scrub quarantined {:?}", report.corrupt_segments),
+                format!("scrub quarantined {:?}", report.corrupt_segments),
                 origin,
                 OpOutcome::Error,
-                &trace.finish(),
+                trace.finish(),
             );
         } else if report.wrapped && report.pages_scanned > 0 {
             self.recorder.record(
                 OpKind::Scrub,
-                &format!("scrub pass clean ({} pages)", report.pages_scanned),
+                format!("scrub pass clean ({} pages)", report.pages_scanned),
                 origin,
                 OpOutcome::Ok,
-                &trace.finish(),
+                trace.finish(),
             );
         }
         report
@@ -1282,10 +1288,10 @@ impl UpdatableXRank {
                 drop(span);
                 self.recorder.record(
                     OpKind::Repair,
-                    &format!("repair seg-{seg_id} failed: {e}"),
+                    format!("repair seg-{seg_id} failed: {e}"),
                     origin,
                     OpOutcome::Error,
-                    &trace.finish(),
+                    trace.finish(),
                 );
                 return Err(e);
             }
@@ -1303,17 +1309,17 @@ impl UpdatableXRank {
                 self.umetrics.scrub_repairs.inc();
                 let label = format!("repair seg-{seg_id} rebuilt as seg-{new_id} seq={seq}");
                 let finished = trace.finish();
-                self.recorder.record(OpKind::Repair, &label, origin, OpOutcome::Ok, &finished);
-                self.note_slow_op("repair", label, start.elapsed(), seq, &finished);
+                self.note_slow_op("repair", label.clone(), start.elapsed(), seq, &finished);
+                self.recorder.record(OpKind::Repair, label, origin, OpOutcome::Ok, finished);
                 Ok(true)
             }
             Err(e) => {
                 self.recorder.record(
                     OpKind::Repair,
-                    &format!("repair seg-{seg_id} failed: {e}"),
+                    format!("repair seg-{seg_id} failed: {e}"),
                     origin,
                     OpOutcome::Error,
-                    &trace.finish(),
+                    trace.finish(),
                 );
                 Err(e)
             }

@@ -9,8 +9,10 @@ mod common;
 use common::temp_pipeline;
 use std::time::Duration;
 use xrank_core::{
-    render_chrome_trace_normalized, validate_chrome_trace, EngineConfig, ObsConfig, OpKind,
+    render_chrome_trace_normalized, validate_chrome_trace, EngineBuilder, EngineConfig, ObsConfig,
+    OpKind, Strategy,
 };
+use xrank_query::QueryOptions;
 
 /// The paper's Figure 1 / Section 4.2.2 workshop-proceedings example.
 const WORKSHOP: &str = r#"<workshop>
@@ -185,4 +187,23 @@ fn disabled_recorder_keeps_queries_untraced() {
     assert!(e.recorder().records().is_empty(), "disabled recorder retained records");
     let check = validate_chrome_trace(&e.dump_trace_json()).expect("empty dump still validates");
     assert!(check.tracks.is_empty(), "empty recorder produced tracks: {:?}", check.tracks);
+}
+
+#[test]
+fn recorder_keeps_the_trace_an_explicit_caller_also_gets() {
+    let mut b = EngineBuilder::new();
+    b.add_xml("workshop", WORKSHOP).unwrap();
+    let e = b.build();
+    let opts = QueryOptions { top_m: 10, ..Default::default() };
+    let traced = e.query_traced("xql language", Strategy::Hdil, &opts).unwrap();
+    let plain = e.query("xql language", Strategy::Hdil, &opts).unwrap();
+    assert!(plain.trace.is_none(), "an untraced caller got the recorder's trace");
+    let records = e.recorder().records();
+    assert_eq!(records.len(), 2);
+    assert_eq!(Some(&records[0].trace), traced.trace.as_ref());
+    assert!(records[1].trace.stage_names().contains(&"present"), "upgraded trace missing");
+
+    e.recorder().set_enabled(false);
+    assert!(e.query_traced("xql language", Strategy::Hdil, &opts).unwrap().trace.is_some());
+    assert_eq!(e.recorder().records().len(), 2);
 }

@@ -426,12 +426,31 @@ mod tests {
         assert_eq!(c.element(y).links_out.len(), 2);
     }
 
-    #[test]
-    fn elem_by_dewey_binary_search() {
-        let c = build_one();
+    fn assert_dewey_lookups(c: &Collection) {
         for (id, e) in c.elements() {
             assert_eq!(c.elem_by_dewey(&e.dewey), Some(id));
         }
-        assert_eq!(c.elem_by_dewey(&DeweyId::from([99, 0])), None);
+        let root = c.doc(0).root;
+        let past_end = c.element(root).dewey.child(c.children_of(root).len() as u32);
+        let leaf = c.elements().find(|(_, e)| e.children.is_empty()).unwrap().1;
+        for missing in [
+            DeweyId::from([99, 0]),
+            DeweyId::from([0, 1]),
+            past_end,
+            DeweyId::from([0]),
+            DeweyId::from_components(Vec::new()),
+            leaf.dewey.child(0),
+        ] {
+            assert_eq!(c.elem_by_dewey(&missing), None, "{missing}");
+        }
+    }
+
+    #[test]
+    fn elem_by_dewey_walks_child_indices() {
+        let c = build_one();
+        assert_dewey_lookups(&c);
+        let mut buf = Vec::new();
+        c.write_to(&mut buf).unwrap();
+        assert_dewey_lookups(&Collection::read_from(&mut buf.as_slice()).unwrap());
     }
 }

@@ -35,6 +35,6 @@ mod tokenize;
 mod vocab;
 
 pub use builder::{CollectionBuilder, LinkSpec};
-pub use model::{Collection, DocInfo, ElemId, Element, TokenOccurrence};
+pub use model::{Collection, DocInfo, ElemId, Element, SubtreeTerms, TokenOccurrence};
 pub use tokenize::tokenize;
 pub use vocab::{TermId, Vocabulary};

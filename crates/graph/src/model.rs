@@ -160,13 +160,22 @@ impl Collection {
         self.hyperlink_count() + 2 * self.containment_count()
     }
 
-    /// Finds the element with exactly this Dewey ID via binary search
-    /// (elements are stored in Dewey order).
+    /// Finds the element with exactly this Dewey ID by walking its path:
+    /// from the document's root, each component after the root's `0` is
+    /// a child index (the builder numbers attribute-elements and child
+    /// elements `0, 1, 2, …` in document order). O(depth); `None` for an
+    /// unknown document, a root component other than `0`, an index past
+    /// the last child, or an ID shorter than `[doc, 0]`.
     pub fn elem_by_dewey(&self, dewey: &DeweyId) -> Option<ElemId> {
-        self.elements
-            .binary_search_by(|e| e.dewey.cmp(dewey))
-            .ok()
-            .map(|i| i as ElemId)
+        let (&doc, rest) = dewey.components().split_first()?;
+        let (&0, path) = rest.split_first()? else { return None };
+        let mut cur = self.docs.get(doc as usize)?.root;
+        let mut elem = self.elements.get(cur as usize)?;
+        for &c in path {
+            cur = *elem.children.get(c as usize)?;
+            elem = &self.elements[cur as usize];
+        }
+        Some(cur)
     }
 
     /// Maximum element depth over the collection (document roots are depth
@@ -182,18 +191,51 @@ impl Collection {
     /// Reconstructs the concatenated direct-text of an element subtree by
     /// walking tokens in document order. Debug/UX helper for examples.
     pub fn subtree_terms(&self, id: ElemId) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_terms(id, &mut out);
-        out
+        self.subtree_term_iter(id).collect()
     }
 
-    fn collect_terms<'a>(&'a self, id: ElemId, out: &mut Vec<&'a str>) {
+    /// The terms of an element subtree in document order, produced lazily
+    /// by a pre-order walk whose stack holds one child cursor per level,
+    /// so taking the first few terms costs O(depth + terms taken).
+    pub fn subtree_term_iter(&self, id: ElemId) -> SubtreeTerms<'_> {
         let e = self.element(id);
-        for t in &e.tokens {
-            out.push(self.vocab.term(t.term));
+        SubtreeTerms {
+            collection: self,
+            tokens: e.tokens.iter(),
+            stack: vec![e.children.iter()],
         }
-        for &c in &e.children {
-            self.collect_terms(c, out);
+    }
+}
+
+/// Iterator returned by [`Collection::subtree_term_iter`].
+#[derive(Debug)]
+pub struct SubtreeTerms<'a> {
+    collection: &'a Collection,
+    /// The direct tokens of the element being visited.
+    tokens: std::slice::Iter<'a, TokenOccurrence>,
+    /// The unvisited children of each open ancestor, innermost last.
+    stack: Vec<std::slice::Iter<'a, ElemId>>,
+}
+
+impl<'a> Iterator for SubtreeTerms<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        loop {
+            if let Some(t) = self.tokens.next() {
+                return Some(self.collection.vocab.term(t.term));
+            }
+            let next = loop {
+                match self.stack.last_mut()?.next() {
+                    Some(&c) => break c,
+                    None => {
+                        self.stack.pop();
+                    }
+                }
+            };
+            let e = self.collection.element(next);
+            self.tokens = e.tokens.iter();
+            self.stack.push(e.children.iter());
         }
     }
 }

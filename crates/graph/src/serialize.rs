@@ -216,6 +216,15 @@ impl Collection {
             });
         }
 
+        // `elem_by_dewey` starts every lookup at a document's root, so each
+        // root must be the parentless element of its own document.
+        for (d, info) in docs.iter().enumerate() {
+            match elements.get(info.root as usize) {
+                Some(e) if e.parent.is_none() && e.doc as usize == d => {}
+                _ => return Err(bad("document root is not that document's root element")),
+            }
+        }
+
         Ok(Collection { docs, elements, vocab, unresolved_links })
     }
 }
@@ -301,6 +310,22 @@ mod tests {
             }
         }
         assert!(get_varint(&mut &[0xF8u8, 0, 0, 0, 0][..]).is_err(), "invalid tag");
+    }
+
+    #[test]
+    fn rejects_a_document_root_that_is_not_a_root() {
+        let c = sample();
+        let mut buf = Vec::new();
+        c.write_to(&mut buf).unwrap();
+        // magic, version, document count, then document 0: its one-byte
+        // URI length, the URI "w", and the root element id.
+        let root_at = 4 + 4 + 4 + 1 + 1;
+        assert_eq!(buf[root_at..root_at + 4], c.doc(0).root.to_le_bytes());
+        for bogus in [1u32, c.doc(1).root, c.element_count() as u32] {
+            let mut corrupted = buf.clone();
+            corrupted[root_at..root_at + 4].copy_from_slice(&bogus.to_le_bytes());
+            assert!(Collection::read_from(&mut corrupted.as_slice()).is_err(), "root {bogus}");
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Property tests for the graph builder invariants the index layer
 //! depends on (DESIGN.md §4): ElemId order = Dewey order, dense
-//! document-order token positions, parent/child consistency, and
-//! serialization round-trips on random trees.
+//! document-order token positions, parent/child consistency,
+//! serialization round-trips, and Dewey → element lookups on random trees.
 
 use proptest::prelude::*;
-use xrank_graph::{Collection, CollectionBuilder};
+use proptest::test_runner::TestCaseError;
+use xrank_dewey::DeweyId;
+use xrank_graph::{Collection, CollectionBuilder, ElemId};
 
 #[derive(Debug, Clone)]
 enum Tree {
@@ -43,6 +45,98 @@ fn build(trees: &[Tree]) -> Collection {
         b.add_xml_str(&format!("doc{i}"), &xml).unwrap();
     }
     b.build()
+}
+
+/// Element content with attributes and text interleaved between child
+/// elements (mixed content), the shapes that number child positions.
+#[derive(Debug, Clone)]
+enum Mixed {
+    Text(u8),
+    Elem { tag: u8, attrs: u8, kids: Vec<Mixed> },
+}
+
+fn mixed() -> impl Strategy<Value = Mixed> {
+    let text = any::<u8>().prop_map(Mixed::Text);
+    text.prop_recursive(5, 40, 6, |inner| {
+        (any::<u8>(), 0u8..3, proptest::collection::vec(inner, 0..6))
+            .prop_map(|(tag, attrs, kids)| Mixed::Elem { tag, attrs, kids })
+    })
+}
+
+fn render_mixed(m: &Mixed, out: &mut String) {
+    match m {
+        Mixed::Text(w) => out.push_str(&format!(" w{} text ", w % 32)),
+        Mixed::Elem { tag, attrs, kids } => {
+            let tag = tag % 8;
+            out.push_str(&format!("<e{tag}"));
+            for a in 0..*attrs {
+                out.push_str(&format!(" a{a}=\"v{a} {tag}\""));
+            }
+            out.push('>');
+            for k in kids {
+                render_mixed(k, out);
+            }
+            out.push_str(&format!("</e{tag}>"));
+        }
+    }
+}
+
+/// One XML document per entry (its nodes under a `<root>`), with a
+/// flattened HTML page after the first.
+fn build_mixed(docs: &[Vec<Mixed>]) -> Collection {
+    let mut b = CollectionBuilder::new();
+    for (i, nodes) in docs.iter().enumerate() {
+        let mut xml = String::from("<root k=\"r\">");
+        for n in nodes {
+            render_mixed(n, &mut xml);
+        }
+        xml.push_str("</root>");
+        b.add_xml_str(&format!("doc{i}"), &xml).unwrap();
+        if i == 0 {
+            let page = xrank_xml::html::parse_html("<html><body>a <b>page</b></body></html>");
+            b.add_html_document("page", "html", &page);
+        }
+    }
+    b.build()
+}
+
+fn brute_force_lookup(c: &Collection, dewey: &DeweyId) -> Option<ElemId> {
+    c.elements().find(|(_, e)| &e.dewey == dewey).map(|(id, _)| id)
+}
+
+fn recursive_terms<'a>(c: &'a Collection, id: ElemId, out: &mut Vec<&'a str>) {
+    let e = c.element(id);
+    out.extend(e.tokens.iter().map(|t| c.vocabulary().term(t.term)));
+    for &ch in &e.children {
+        recursive_terms(c, ch, out);
+    }
+}
+
+/// Every element's own ID, its neighbours just outside the tree, and
+/// `extra` arbitrary component vectors resolve exactly as a scan of
+/// `elements()` does; subtree terms match a recursive walk.
+fn check_lookups(c: &Collection, extra: &[Vec<u32>]) -> Result<(), TestCaseError> {
+    let mut probes: Vec<DeweyId> = extra.iter().map(|v| DeweyId::from(v.as_slice())).collect();
+    for (_, e) in c.elements() {
+        let n = e.children.len() as u32;
+        probes.extend([e.dewey.clone(), e.dewey.child(0), e.dewey.child(n), e.dewey.child(n + 1)]);
+        let comps = e.dewey.components();
+        probes.push(DeweyId::from(&comps[..1]));
+        let mut bumped = comps.to_vec();
+        *bumped.last_mut().unwrap() += 1;
+        probes.push(DeweyId::from(bumped.as_slice()));
+        bumped[0] += 1;
+        probes.push(DeweyId::from(bumped.as_slice()));
+    }
+    for p in &probes {
+        prop_assert_eq!(c.elem_by_dewey(p), brute_force_lookup(c, p), "probe {}", p);
+    }
+    for (id, _) in c.elements() {
+        let mut expect = Vec::new();
+        recursive_terms(c, id, &mut expect);
+        prop_assert_eq!(c.subtree_terms(id), expect);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -125,5 +219,17 @@ proptest! {
             oracle.sort_unstable();
             prop_assert_eq!(terms, oracle);
         }
+    }
+
+    #[test]
+    fn elem_by_dewey_matches_a_scan_of_elements(
+        docs in proptest::collection::vec(proptest::collection::vec(mixed(), 0..5), 1..4),
+        extra in proptest::collection::vec(proptest::collection::vec(0u32..6, 0..7), 0..16),
+    ) {
+        let c = build_mixed(&docs);
+        check_lookups(&c, &extra)?;
+        let mut buf = Vec::new();
+        c.write_to(&mut buf).unwrap();
+        check_lookups(&Collection::read_from(&mut buf.as_slice()).unwrap(), &extra)?;
     }
 }

@@ -216,17 +216,20 @@ impl FlightRecorder {
         self.epoch
     }
 
-    /// Offers a finished operation to the rings. The trace is cloned only
-    /// if the record is actually kept. `start` is the operation's own
-    /// clock anchor (usually `QueryTrace::origin`), translated onto the
-    /// recorder epoch here.
+    /// Offers a finished operation to the rings. The record takes the
+    /// trace and the label by value, so keeping it copies nothing; a
+    /// caller that also hands the trace back to its own caller (an
+    /// explicitly traced query) pays the one clone. `start` is the
+    /// operation's own clock anchor (usually `QueryTrace::origin`),
+    /// translated onto the recorder epoch here. A record evicted to make
+    /// room is dropped after the ring mutex is released.
     pub fn record(
         &self,
         kind: OpKind,
-        label: &str,
+        label: String,
         start: Instant,
         outcome: OpOutcome,
-        trace: &Trace,
+        trace: Trace,
     ) {
         if !self.is_enabled() {
             return;
@@ -248,29 +251,33 @@ impl FlightRecorder {
         let record = FlightRecord {
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             kind,
-            label: label.to_string(),
+            label,
             thread: current_thread_label(),
             start_ns: start.saturating_duration_since(self.epoch).as_nanos() as u64,
             outcome,
             slow,
-            trace: trace.clone(),
+            trace,
         };
-        let mut rings = self.rings.lock().unwrap_or_else(|p| p.into_inner());
-        let (ring, cap) = if notable {
-            (&mut rings.notable, self.config.notable_capacity)
-        } else {
-            (&mut rings.normal, self.config.normal_capacity)
+        let evicted = {
+            let mut rings = self.rings.lock().unwrap_or_else(|p| p.into_inner());
+            let (ring, cap) = if notable {
+                (&mut rings.notable, self.config.notable_capacity)
+            } else {
+                (&mut rings.normal, self.config.normal_capacity)
+            };
+            // Rings never exceed their capacity, so at most one goes.
+            let evicted = if ring.len() >= cap.max(1) { ring.pop_front() } else { None };
+            ring.push_back(record);
+            evicted
         };
-        while ring.len() >= cap.max(1) {
-            ring.pop_front();
+        if evicted.is_some() {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.push_back(record);
     }
 
     /// Records a zero-duration decision point (e.g. a shed) as of now.
     pub fn instant(&self, kind: OpKind, label: &str) {
-        self.record(kind, label, Instant::now(), OpOutcome::Ok, &Trace::default());
+        self.record(kind, label.to_string(), Instant::now(), OpOutcome::Ok, Trace::default());
     }
 
     /// Every retained record, merged across both rings and ordered by
@@ -303,13 +310,18 @@ impl FlightRecorder {
 }
 
 /// The current thread's track label: its name, or a stable id-derived
-/// fallback for unnamed threads.
+/// fallback for unnamed threads. Computed once per thread.
 fn current_thread_label() -> String {
-    let t = std::thread::current();
-    match t.name() {
-        Some(name) => name.to_string(),
-        None => format!("thread-{:?}", t.id()),
+    thread_local! {
+        static LABEL: String = {
+            let t = std::thread::current();
+            match t.name() {
+                Some(name) => name.to_string(),
+                None => format!("thread-{:?}", t.id()),
+            }
+        };
     }
+    LABEL.with(String::clone)
 }
 
 #[cfg(test)]
@@ -333,9 +345,9 @@ mod tests {
             ..RecorderConfig::default()
         });
         let start = Instant::now();
-        r.record(OpKind::Commit, "commit seg-1", start, OpOutcome::Ok, &quick_trace(1));
+        r.record(OpKind::Commit, "commit seg-1".into(), start, OpOutcome::Ok, quick_trace(1));
         for i in 0..100 {
-            r.record(OpKind::Query, &format!("q{i}"), start, OpOutcome::Ok, &quick_trace(1));
+            r.record(OpKind::Query, format!("q{i}"), start, OpOutcome::Ok, quick_trace(1));
         }
         let records = r.records();
         assert!(records.iter().any(|r| r.kind == OpKind::Commit));
@@ -347,10 +359,10 @@ mod tests {
     fn slow_errored_and_degraded_queries_are_notable() {
         let r = FlightRecorder::new(RecorderConfig::default());
         let start = Instant::now();
-        r.record(OpKind::Query, "slow", start, OpOutcome::Ok, &quick_trace(500));
-        r.record(OpKind::Query, "err", start, OpOutcome::Error, &quick_trace(1));
-        r.record(OpKind::Query, "deg", start, OpOutcome::Degraded, &quick_trace(1));
-        r.record(OpKind::Query, "fast", start, OpOutcome::Ok, &quick_trace(1));
+        r.record(OpKind::Query, "slow".into(), start, OpOutcome::Ok, quick_trace(500));
+        r.record(OpKind::Query, "err".into(), start, OpOutcome::Error, quick_trace(1));
+        r.record(OpKind::Query, "deg".into(), start, OpOutcome::Degraded, quick_trace(1));
+        r.record(OpKind::Query, "fast".into(), start, OpOutcome::Ok, quick_trace(1));
         let records = r.records();
         for rec in &records {
             let expect = rec.label != "fast";
@@ -368,12 +380,12 @@ mod tests {
         });
         let start = Instant::now();
         for i in 0..100 {
-            r.record(OpKind::Query, &format!("q{i}"), start, OpOutcome::Ok, &quick_trace(1));
+            r.record(OpKind::Query, format!("q{i}"), start, OpOutcome::Ok, quick_trace(1));
         }
         assert_eq!(r.records().len(), 10);
         // Sampling never applies to background ops.
         for _ in 0..5 {
-            r.record(OpKind::Commit, "c", start, OpOutcome::Ok, &quick_trace(1));
+            r.record(OpKind::Commit, "c".into(), start, OpOutcome::Ok, quick_trace(1));
         }
         assert_eq!(r.records().len(), 15);
     }
@@ -381,7 +393,7 @@ mod tests {
     #[test]
     fn disabled_recorder_keeps_nothing() {
         let r = FlightRecorder::disabled();
-        r.record(OpKind::Query, "q", Instant::now(), OpOutcome::Ok, &quick_trace(1));
+        r.record(OpKind::Query, "q".into(), Instant::now(), OpOutcome::Ok, quick_trace(1));
         r.instant(OpKind::Shed, "shed");
         assert!(r.records().is_empty());
         r.set_enabled(true);
@@ -394,8 +406,8 @@ mod tests {
         let r = FlightRecorder::new(RecorderConfig::default());
         let t0 = Instant::now();
         let t1 = t0 + Duration::from_millis(5);
-        r.record(OpKind::Query, "later", t1, OpOutcome::Ok, &quick_trace(1));
-        r.record(OpKind::Commit, "earlier", t0, OpOutcome::Ok, &quick_trace(1));
+        r.record(OpKind::Query, "later".into(), t1, OpOutcome::Ok, quick_trace(1));
+        r.record(OpKind::Commit, "earlier".into(), t0, OpOutcome::Ok, quick_trace(1));
         let labels: Vec<String> = r.records().into_iter().map(|r| r.label).collect();
         assert_eq!(labels, ["earlier", "later"]);
     }

@@ -641,7 +641,7 @@ mod tests {
         t.event(Stage::Degraded, EventData::Degraded { reason: DegradeReason::Deadline });
         let origin = t.origin();
         let done = t.finish();
-        r.record(OpKind::Query, "query[hdil] \"quoted\"", origin, OpOutcome::Ok, &done);
+        r.record(OpKind::Query, "query[hdil] \"quoted\"".into(), origin, OpOutcome::Ok, done);
         r.instant(OpKind::Shed, "shed");
         r.records()
     }
@@ -772,7 +772,7 @@ mod tests {
                 move || {
                     // Re-anchor inside the named thread so the record
                     // carries this thread's label.
-                    r.record(OpKind::Query, "q", origin, OpOutcome::Ok, &done);
+                    r.record(OpKind::Query, "q".into(), origin, OpOutcome::Ok, done);
                     let json = render_chrome_trace(&r.records());
                     let check = validate_chrome_trace(&json).expect("valid");
                     assert!(check.has_track("xrank-worker-9"));

@@ -22,6 +22,11 @@
 //! }
 //! ```
 //!
+//! `search` and `search_any` empty the shared buffer pool before they
+//! evaluate (the paper's cold-start setup), so they are single-stream
+//! entry points; concurrent callers use [`XRankEngine::query`], which
+//! reads the warm shared cache.
+//!
 //! ## Crate map
 //!
 //! | Module | Source crate | Paper section |
