@@ -31,10 +31,19 @@ fn op_label(strategy: &str, query: &str) -> String {
     format!("query[{strategy}] {clipped}")
 }
 
-/// Stamps a query's I/O ledger onto its trace as `pool_io` events, so the
-/// exported timeline shows the physical cost next to the stages that
-/// incurred it.
-fn attach_pool_events(trace: &QueryTrace, io: &xrank_storage::IoStats) {
+/// Stamps a query's counts onto its trace once it ran: the probe kinds of
+/// its `EvalStats` as untimed stage counts, and its I/O ledger as
+/// `pool_io` events, so the exported timeline shows the physical cost next
+/// to the stages that incurred it.
+fn attach_counts(trace: &QueryTrace, s: &xrank_query::EvalStats, io: &xrank_storage::IoStats) {
+    for (stage, n) in [
+        (Stage::ProbeMemoHit, s.probe_memo_hits),
+        (Stage::CursorSeek, s.cursor_seeks),
+        (Stage::CursorSeekBack, s.cursor_seeks_back),
+        (Stage::CursorDescent, s.cursor_descents),
+    ] {
+        trace.add_count(stage, n);
+    }
     for (what, n) in [
         ("seq_reads", io.seq_reads),
         ("rand_reads", io.rand_reads),
@@ -406,9 +415,10 @@ impl<S: PageStore> XRankEngine<S> {
 
     /// [`XRankEngine::query`] with per-stage tracing: the returned
     /// [`SearchResults::trace`] holds the finished per-query timeline
-    /// (stage timings, TA rounds, the HDIL switch decision). Tracing costs
-    /// clock reads on the instrumented stages; the untraced path costs one
-    /// branch per call site.
+    /// (stage timings, every probe and range scan, TA rounds, the HDIL
+    /// switch decision). Tracing costs clock reads on the instrumented
+    /// stages; an untraced query reads the clock only on the coarse stages,
+    /// and only while the flight recorder is on.
     pub fn query_traced(
         &self,
         query: &str,
@@ -448,11 +458,12 @@ impl<S: PageStore> XRankEngine<S> {
     ) -> Result<SearchResults, QueryError> {
         // The caller only gets a trace back if it asked for one, but the
         // flight recorder wants every operation traced — upgrade a
-        // disabled trace while recording is on (the e8 recorder-overhead
-        // gate bounds what this always-on tracing may cost).
+        // disabled trace to a stage-level one while recording is on: a
+        // clock read per probe would cost more than the probe, and the
+        // probe-kind counts come from `EvalStats` below instead.
         let explicit = trace.is_enabled();
         let record = self.recorder.is_enabled();
-        let trace = if record && !explicit { QueryTrace::enabled() } else { trace };
+        let trace = if record && !explicit { QueryTrace::stage_level() } else { trace };
         let scope = StatsScope::begin();
         let start = std::time::Instant::now();
         let tokenize_span = trace.span(Stage::Tokenize);
@@ -556,9 +567,7 @@ impl<S: PageStore> XRankEngine<S> {
             self.emetrics.record_degraded(reason);
         }
         self.note_slow(query, strategy_label(strategy), elapsed, hits.len());
-        if trace.is_enabled() {
-            attach_pool_events(&trace, &io);
-        }
+        attach_counts(&trace, &outcome.stats, &io);
         let origin = trace.origin();
         let mut finished = trace.is_enabled().then(|| trace.finish());
         if record {

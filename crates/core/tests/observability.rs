@@ -110,6 +110,46 @@ fn untraced_query_carries_no_trace() {
     assert!(res.trace.is_none());
 }
 
+/// Untraced, a query reaches the flight recorder at stage level: coarse
+/// spans only, and the probe-kind counts stamped from its `EvalStats`.
+/// Asked for, the trace keeps every probe, range scan and TA round.
+#[test]
+fn recorder_keeps_stages_and_an_asked_for_trace_keeps_probes() {
+    let e = full_engine();
+    let opts = e.config().query.clone();
+    let is_round = |ev: &xrank_obs::TraceEvent| matches!(ev.data, EventData::TaRound { .. });
+    for strategy in [Strategy::Dil, Strategy::Rdil, Strategy::Hdil] {
+        let res = e.query("xql language", strategy, &opts).unwrap();
+        let records = e.recorder().records();
+        let recorded = &records.iter().max_by_key(|r| r.seq).expect("query recorded").trace;
+        let stages: Vec<Stage> = recorded.spans.iter().map(|s| s.stage).collect();
+        assert!(stages.iter().all(|s| !s.is_probe_level()), "{strategy:?}: {stages:?}");
+        assert!(stages.contains(&Stage::Tokenize) && stages.contains(&Stage::Present));
+        assert!(!recorded.events.iter().any(is_round), "{strategy:?}");
+        let s = &res.eval;
+        let count = |stage| recorded.stage(stage).map_or(0, |t| t.count);
+        assert_eq!(count(Stage::ProbeMemoHit), s.probe_memo_hits, "{strategy:?}");
+        assert_eq!(count(Stage::CursorSeek), s.cursor_seeks, "{strategy:?}");
+        assert_eq!(count(Stage::CursorSeekBack), s.cursor_seeks_back, "{strategy:?}");
+        assert_eq!(count(Stage::CursorDescent), s.cursor_descents, "{strategy:?}");
+        assert_eq!(
+            s.probe_memo_hits + s.cursor_seeks + s.cursor_seeks_back + s.cursor_descents,
+            s.btree_probes,
+            "{strategy:?}"
+        );
+
+        let traced = e.query_traced("xql language", strategy, &opts).unwrap();
+        let full = traced.trace.as_ref().unwrap();
+        let spans = |stage| full.spans.iter().filter(|s| s.stage == stage).count();
+        let rounds = full.events.iter().filter(|ev| is_round(ev)).count();
+        let probed = strategy != Strategy::Dil;
+        assert_eq!(spans(Stage::BtreeProbe) > 0, probed, "{strategy:?}");
+        assert_eq!(spans(Stage::RangeScan) > 0, probed, "{strategy:?}");
+        assert_eq!(rounds > 0, probed, "{strategy:?}");
+        assert_eq!(full.stage(Stage::CursorSeek).map_or(0, |t| t.count), traced.eval.cursor_seeks);
+    }
+}
+
 #[test]
 fn hdil_switch_records_both_cost_estimates() {
     let e = uncorrelated_engine();

@@ -7,7 +7,10 @@
 //! child. `golden/recorder_trace.json` is the normalized Chrome trace of a
 //! fixed sequence of commits, queries, a delete and a fold on an
 //! `UpdatableXRank`. Both were captured before the Dewey-path lookup and
-//! the by-value flight record, and must not move.
+//! the by-value flight record. The trace was re-captured once when the
+//! recorder's traces of untraced queries became stage level: that dropped
+//! exactly its `btree_probe` / `range_scan` spans and `ta_round` events.
+//! Neither may move otherwise.
 
 mod common;
 

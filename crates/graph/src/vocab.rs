@@ -3,6 +3,7 @@
 //! Inverted lists are keyed by term; interning once at graph-build time
 //! means the index and query layers work with dense integer ids.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Dense id of an interned term.
@@ -41,10 +42,16 @@ impl Vocabulary {
     }
 
     /// Looks up a term without interning. Query keywords are lowercased
-    /// before lookup so user input matches the tokenizer's normalization.
+    /// before lookup so user input matches the tokenizer's normalization;
+    /// only a term that lowercasing changes (one holding an uppercase or
+    /// titlecase character) is copied to do so.
     pub fn lookup(&self, term: &str) -> Option<TermId> {
-        let lowered = term.to_lowercase();
-        self.map.get(lowered.as_str()).copied()
+        let lowered: Cow<str> = if term.chars().any(|c| c.to_lowercase().ne([c])) {
+            Cow::Owned(term.to_lowercase())
+        } else {
+            Cow::Borrowed(term)
+        };
+        self.map.get(lowered.as_ref()).copied()
     }
 
     /// The term string for `id`.
@@ -92,6 +99,10 @@ mod tests {
         assert_eq!(v.lookup("Ricardo"), Some(id));
         assert_eq!(v.lookup("RICARDO"), Some(id));
         assert_eq!(v.lookup("missing"), None);
+        // Titlecase letters are not uppercase, but lowercasing changes them.
+        let dz = v.intern("\u{01C6}x");
+        assert_eq!(v.lookup("\u{01C5}x"), Some(dz));
+        assert_eq!(v.lookup("\u{01C6}x"), Some(dz));
     }
 
     #[test]

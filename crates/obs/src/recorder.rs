@@ -331,7 +331,7 @@ mod tests {
 
     fn quick_trace(ms: u64) -> Trace {
         let t = QueryTrace::enabled();
-        t.bump(Stage::Tokenize);
+        t.add_count(Stage::Tokenize, 1);
         let mut done = t.finish();
         done.total = Duration::from_millis(ms);
         done

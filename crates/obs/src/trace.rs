@@ -4,13 +4,21 @@
 //! two kinds of data into it:
 //!
 //! * **stage timings** — aggregated `(count, total duration)` per
-//!   [`Stage`], recorded either with a scoped [`Span`] (times the enclosed
-//!   work) or [`QueryTrace::bump`] (counts an occurrence without timing
-//!   it, for per-probe call sites too hot to clock individually when the
-//!   trace is the only consumer);
+//!   [`Stage`], recorded with a scoped [`Span`] (times the enclosed work)
+//!   or [`QueryTrace::add_count`] (untimed occurrences the caller already
+//!   counted, such as the probe kinds of the evaluation's work counters);
 //! * **events** — discrete decisions with payloads ([`EventData`]): a TA
 //!   round with its threshold value, the HDIL switch decision with both
 //!   time estimates, a stage annotation.
+//!
+//! A full trace ([`QueryTrace::enabled`]), which a caller gets when it asks
+//! for one, records every span and event, down to each B+-tree probe,
+//! range scan and TA round. A stage-level trace ([`QueryTrace::stage_level`]),
+//! which the flight recorder keeps of every other query, times only the
+//! coarse stages: on a [`Stage::is_probe_level`] stage, spans and events
+//! read no clock and push nothing, since a clock read per probe would cost
+//! more than the probe. A disabled trace ([`QueryTrace::disabled`]) records
+//! nothing: every recording call is one branch.
 //!
 //! The trace uses interior mutability (`RefCell`) so a single `&QueryTrace`
 //! can be threaded through deeply nested evaluation code — including the
@@ -18,9 +26,6 @@
 //! without mutable-borrow gymnastics. A query runs on exactly one thread,
 //! so no synchronisation is needed; the finished, immutable [`Trace`] is
 //! `Send + Sync` and rides inside the query's results.
-//!
-//! A disabled trace ([`QueryTrace::disabled`]) records nothing: every
-//! recording call is one bool check, and no `Instant::now()` is taken.
 
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
@@ -38,7 +43,6 @@ const MAX_SPANS: usize = 2048;
 
 /// The instrumented stages of the serving path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(usize)]
 pub enum Stage {
     /// Query-string tokenization and vocabulary lookup (engine).
     Tokenize,
@@ -105,39 +109,6 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Number of stages (sizes the aggregation table).
-    pub const COUNT: usize = 27;
-
-    const ALL: [Stage; Stage::COUNT] = [
-        Stage::Tokenize,
-        Stage::ListOpen,
-        Stage::DeweyMerge,
-        Stage::TaLoop,
-        Stage::TaRound,
-        Stage::BtreeProbe,
-        Stage::ProbeMemoHit,
-        Stage::CursorSeek,
-        Stage::CursorSeekBack,
-        Stage::CursorDescent,
-        Stage::RangeScan,
-        Stage::HashProbe,
-        Stage::MergeJoin,
-        Stage::UnionMerge,
-        Stage::SwitchDecision,
-        Stage::DilFallback,
-        Stage::Present,
-        Stage::Degraded,
-        Stage::SegmentBuild,
-        Stage::ManifestSwap,
-        Stage::CompactMerge,
-        Stage::Gc,
-        Stage::Recovery,
-        Stage::PoolIo,
-        Stage::WalAppend,
-        Stage::Scrub,
-        Stage::Repair,
-    ];
-
     /// Stable snake_case name (used in EXPLAIN output and tests).
     pub fn name(self) -> &'static str {
         match self {
@@ -169,6 +140,14 @@ impl Stage {
             Stage::Scrub => "scrub",
             Stage::Repair => "repair",
         }
+    }
+
+    /// Whether this stage occurs once per probe, range scan or TA round
+    /// rather than once per phase of a query: a stage-level trace skips it.
+    pub fn is_probe_level(self) -> bool {
+        use Stage::*;
+        matches!(self, TaRound | BtreeProbe | ProbeMemoHit | CursorSeek | CursorSeekBack)
+            || matches!(self, CursorDescent | RangeScan | HashProbe)
     }
 }
 
@@ -306,15 +285,8 @@ pub struct TraceEvent {
     pub data: EventData,
 }
 
-/// Aggregated timing for one stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct StageAgg {
-    count: u64,
-    total: Duration,
-}
-
 /// One concrete timed occurrence of a stage on the trace timeline
-/// (recorded by [`Span`] guards; `bump`/`record` stay aggregate-only).
+/// (recorded by [`Span`] guards; `add_count` stays aggregate-only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRecord {
     /// The stage.
@@ -327,38 +299,53 @@ pub struct SpanRecord {
 
 #[derive(Debug)]
 struct TraceInner {
-    stages: [StageAgg; Stage::COUNT],
+    /// One aggregate per stage that occurred, in first-occurrence order.
+    stages: Vec<StageTiming>,
     events: Vec<TraceEvent>,
     dropped: u64,
     spans: Vec<SpanRecord>,
     dropped_spans: u64,
 }
 
+/// How much a [`QueryTrace`] records (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Detail {
+    Off,
+    Stages,
+    Full,
+}
+
 /// The per-query recording handle (see the module docs).
 #[derive(Debug)]
 pub struct QueryTrace {
-    enabled: bool,
+    detail: Detail,
     origin: Instant,
     inner: RefCell<TraceInner>,
 }
 
 impl QueryTrace {
-    /// A recording trace.
+    /// A trace that records every span and event.
     pub fn enabled() -> Self {
-        Self::with_enabled(true)
+        Self::with_detail(Detail::Full)
+    }
+
+    /// A trace that times only the coarse stages: spans and events on a
+    /// probe-level stage cost one branch.
+    pub fn stage_level() -> Self {
+        Self::with_detail(Detail::Stages)
     }
 
     /// A no-op trace: every recording call is one branch.
     pub fn disabled() -> Self {
-        Self::with_enabled(false)
+        Self::with_detail(Detail::Off)
     }
 
-    fn with_enabled(enabled: bool) -> Self {
+    fn with_detail(detail: Detail) -> Self {
         QueryTrace {
-            enabled,
+            detail,
             origin: Instant::now(),
             inner: RefCell::new(TraceInner {
-                stages: [StageAgg::default(); Stage::COUNT],
+                stages: Vec::new(),
                 events: Vec::new(),
                 dropped: 0,
                 spans: Vec::new(),
@@ -369,7 +356,16 @@ impl QueryTrace {
 
     /// Whether this trace records anything.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.detail != Detail::Off
+    }
+
+    /// Whether this trace records the probe-level stages too.
+    pub fn is_full(&self) -> bool {
+        self.detail == Detail::Full
+    }
+
+    fn keeps(&self, stage: Stage) -> bool {
+        self.detail == Detail::Full || self.detail == Detail::Stages && !stage.is_probe_level()
     }
 
     /// The instant this trace was created — all span/event offsets are
@@ -379,42 +375,29 @@ impl QueryTrace {
     }
 
     /// Opens a timing span for `stage`; the duration is recorded when the
-    /// returned guard drops. On a disabled trace no clock is read.
+    /// returned guard drops. When the trace does not keep `stage`, no
+    /// clock is read.
     pub fn span(&self, stage: Stage) -> Span<'_> {
         Span {
             trace: self,
             stage,
-            start: if self.enabled { Some(Instant::now()) } else { None },
+            start: if self.keeps(stage) { Some(Instant::now()) } else { None },
         }
     }
 
-    /// Records an occurrence of `stage` without timing it.
-    pub fn bump(&self, stage: Stage) {
-        if !self.enabled {
-            return;
+    /// Adds `n` untimed occurrences of `stage`, at either level of detail:
+    /// the caller already counted them, so no clock is read.
+    pub fn add_count(&self, stage: Stage, n: u64) {
+        if self.is_enabled() && n > 0 {
+            self.inner.borrow_mut().tally(stage, n, Duration::ZERO);
         }
-        let mut inner = self.inner.borrow_mut();
-        inner.stages[stage as usize].count += 1;
-    }
-
-    /// Records an explicit `(occurrence, duration)` for `stage`.
-    pub fn record(&self, stage: Stage, dur: Duration) {
-        if !self.enabled {
-            return;
-        }
-        let mut inner = self.inner.borrow_mut();
-        let agg = &mut inner.stages[stage as usize];
-        agg.count += 1;
-        agg.total += dur;
     }
 
     /// Records a closed span on the timeline and in the aggregates
     /// (called by the [`Span`] drop guard).
     fn record_span(&self, stage: Stage, start: Instant, dur: Duration) {
         let mut inner = self.inner.borrow_mut();
-        let agg = &mut inner.stages[stage as usize];
-        agg.count += 1;
-        agg.total += dur;
+        inner.tally(stage, 1, dur);
         if inner.spans.len() >= MAX_SPANS {
             inner.dropped_spans += 1;
             return;
@@ -425,7 +408,7 @@ impl QueryTrace {
 
     /// Appends a discrete event (bounded; overflow counts as dropped).
     pub fn event(&self, stage: Stage, data: EventData) {
-        if !self.enabled {
+        if !self.keeps(stage) {
             return;
         }
         let at = self.origin.elapsed();
@@ -440,24 +423,27 @@ impl QueryTrace {
     /// Finalises into an immutable, shareable [`Trace`].
     pub fn finish(self) -> Trace {
         let total = self.origin.elapsed();
-        let inner = self.inner.into_inner();
+        let mut inner = self.inner.into_inner();
+        inner.stages.sort_unstable_by_key(|t| t.stage);
         Trace {
             total,
-            stages: Stage::ALL
-                .iter()
-                .filter_map(|&s| {
-                    let agg = inner.stages[s as usize];
-                    (agg.count > 0).then_some(StageTiming {
-                        stage: s,
-                        count: agg.count,
-                        total: agg.total,
-                    })
-                })
-                .collect(),
+            stages: inner.stages,
             events: inner.events,
             dropped_events: inner.dropped,
             spans: inner.spans,
             dropped_spans: inner.dropped_spans,
+        }
+    }
+}
+
+impl TraceInner {
+    fn tally(&mut self, stage: Stage, count: u64, total: Duration) {
+        match self.stages.iter_mut().find(|t| t.stage == stage) {
+            Some(t) => {
+                t.count += count;
+                t.total += total;
+            }
+            None => self.stages.push(StageTiming { stage, count, total }),
         }
     }
 }
@@ -485,7 +471,7 @@ pub struct StageTiming {
     pub stage: Stage,
     /// Occurrences recorded.
     pub count: u64,
-    /// Total time attributed (zero for untimed `bump`s).
+    /// Total time attributed (zero for untimed `add_count`s).
     pub total: Duration,
 }
 
@@ -494,7 +480,8 @@ pub struct StageTiming {
 pub struct Trace {
     /// Wall time from trace creation to [`QueryTrace::finish`].
     pub total: Duration,
-    /// Per-stage aggregates (only stages that occurred).
+    /// Per-stage aggregates (only stages that occurred), in [`Stage`]
+    /// declaration order.
     pub stages: Vec<StageTiming>,
     /// Discrete events in record order.
     pub events: Vec<TraceEvent>,
@@ -554,11 +541,33 @@ mod tests {
         {
             let _s = t.span(Stage::DeweyMerge);
         }
-        t.bump(Stage::BtreeProbe);
+        t.add_count(Stage::BtreeProbe, 3);
         t.event(Stage::TaRound, EventData::Note("x"));
         let done = t.finish();
         assert!(done.stages.is_empty());
         assert!(done.events.is_empty());
+    }
+
+    #[test]
+    fn stage_level_trace_keeps_coarse_stages_and_counts() {
+        let t = QueryTrace::stage_level();
+        assert!(t.is_enabled() && !t.is_full());
+        t.add_count(Stage::CursorSeek, 7);
+        {
+            let _loop = t.span(Stage::TaLoop);
+            let _probe = t.span(Stage::BtreeProbe);
+            let _scan = t.span(Stage::RangeScan);
+            t.event(Stage::TaRound, EventData::Note("round"));
+            t.event(Stage::SwitchDecision, EventData::Note("switch"));
+        }
+        let done = t.finish();
+        let spans: Vec<Stage> = done.spans.iter().map(|s| s.stage).collect();
+        assert_eq!(spans, [Stage::TaLoop]);
+        // Aggregates come out in declaration order, not recording order.
+        assert_eq!(done.stage_names(), ["ta_loop", "cursor_seek"]);
+        assert_eq!(done.stage(Stage::CursorSeek).unwrap().count, 7);
+        assert_eq!(done.events.len(), 1);
+        assert_eq!(done.events[0].stage, Stage::SwitchDecision);
     }
 
     #[test]
@@ -567,11 +576,12 @@ mod tests {
         for _ in 0..3 {
             let _s = t.span(Stage::BtreeProbe);
         }
-        t.bump(Stage::BtreeProbe);
-        t.record(Stage::RangeScan, Duration::from_micros(5));
+        t.add_count(Stage::BtreeProbe, 1);
+        t.add_count(Stage::RangeScan, 2);
         let done = t.finish();
         assert_eq!(done.stage(Stage::BtreeProbe).unwrap().count, 4);
-        assert_eq!(done.stage(Stage::RangeScan).unwrap().total, Duration::from_micros(5));
+        assert_eq!(done.stage(Stage::RangeScan).unwrap().count, 2);
+        assert_eq!(done.stage(Stage::RangeScan).unwrap().total, Duration::ZERO);
         assert!(done.has_stage(Stage::RangeScan));
         assert!(!done.has_stage(Stage::DeweyMerge));
     }
@@ -596,7 +606,7 @@ mod tests {
         for _ in 0..(MAX_SPANS + 5) {
             let _s = t.span(Stage::BtreeProbe);
         }
-        t.bump(Stage::BtreeProbe); // aggregate-only: no timeline entry
+        t.add_count(Stage::BtreeProbe, 1); // aggregate-only: no timeline entry
         let done = t.finish();
         assert_eq!(done.spans.len(), MAX_SPANS);
         assert_eq!(done.dropped_spans, 5);

@@ -762,7 +762,7 @@ mod tests {
     fn thread_tracks_get_metadata_names() {
         let r = FlightRecorder::new(RecorderConfig::default());
         let t = QueryTrace::enabled();
-        t.bump(Stage::Tokenize);
+        t.add_count(Stage::Tokenize, 1);
         let origin = t.origin();
         let done = t.finish();
         std::thread::Builder::new()

@@ -235,7 +235,7 @@ pub fn evaluate_rank_traced<S: PageStore>(
             }
         }
 
-        if trace.is_enabled() && stats.entries_scanned.is_multiple_of(n as u64) {
+        if trace.is_full() && stats.entries_scanned.is_multiple_of(n as u64) {
             trace.event(
                 Stage::TaRound,
                 EventData::TaRound {

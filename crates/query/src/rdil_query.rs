@@ -241,7 +241,6 @@ impl<'a, S: PageStore, A: RankedAccess<S>> RdilRun<'a, S, A> {
             let keep = match self.cursors[j].remembered(&self.lcp) {
                 Some(keep) => {
                     self.stats.probe_memo_hits += 1;
-                    self.trace.bump(Stage::ProbeMemoHit);
                     keep
                 }
                 None => {
@@ -254,13 +253,10 @@ impl<'a, S: PageStore, A: RankedAccess<S>> RdilRun<'a, S, A> {
                     let after = self.cursors[j].stats();
                     if after.descents > before.descents {
                         self.stats.cursor_descents += 1;
-                        self.trace.bump(Stage::CursorDescent);
                     } else if after.seeks_backward > before.seeks_backward {
                         self.stats.cursor_seeks_back += 1;
-                        self.trace.bump(Stage::CursorSeekBack);
                     } else {
                         self.stats.cursor_seeks += 1;
-                        self.trace.bump(Stage::CursorSeek);
                     }
                     keep
                 }
@@ -286,7 +282,7 @@ impl<'a, S: PageStore, A: RankedAccess<S>> RdilRun<'a, S, A> {
         // One TA "round" = one full round-robin cycle over the keyword
         // lists; record its threshold for the EXPLAIN timeline (the
         // quantity the Figure 7 stopping rule compares against).
-        if self.trace.is_enabled() && self.stats.entries_scanned.is_multiple_of(n as u64) {
+        if self.trace.is_full() && self.stats.entries_scanned.is_multiple_of(n as u64) {
             self.trace.event(
                 Stage::TaRound,
                 EventData::TaRound {

@@ -43,9 +43,12 @@ echo "== regression benchmark: unit + 200-document smoke suite =="
 # The benchmark is a package of its own that calls the library through
 # the public surface listed in benchmark/README.md; a change that breaks
 # that surface must fail here, not in the pipeline. Output goes to the
-# git-ignored .bench_build/ and benchmark/out/ only.
+# git-ignored .bench_build/ and benchmark/out/ only. The smoke tests run
+# one at a time: each checks that the rig's spans cover 95 % of every
+# operation's wall time, and two runs sharing a small machine preempt
+# each other inside the gaps between spans.
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline -q \
-    --manifest-path benchmark/Cargo.toml
+    --manifest-path benchmark/Cargo.toml -- --test-threads=1
 
 echo "== cargo doc --workspace with warnings denied =="
 # Catches dangling intra-doc links to renamed or deleted items.

@@ -17,7 +17,8 @@
 //! (and, under HDIL, the switch decision with both cost estimates);
 //! `--metrics` dumps the engine's Prometheus exposition after the query.
 //!
-//! `trace-dump` runs the query against the flight recorder and writes the
+//! `trace-dump` runs the query on a cleared cache, traced in full (every
+//! probe, range scan and TA round), and writes the flight recorder's
 //! retained timeline as Chrome trace-event JSON — open the file in
 //! `ui.perfetto.dev` (or `chrome://tracing`). `trace-check` structurally
 //! validates such a dump (valid JSON, spans strictly nested per track)
@@ -349,10 +350,13 @@ fn cmd_trace_dump(args: &[String]) -> CliResult {
     let engine = XRankEngine::<FileStore>::open(dir, engine_config())
         .map_err(|e| format!("opening {dir}: {e}"))?;
     engine.recorder().set_enabled(true);
+    // Each repeat starts cold, and is traced explicitly so the dump keeps
+    // its per-probe spans and TA rounds.
     let opts = QueryOptions::default();
     for _ in 0..repeat.max(1) {
+        engine.pool().clear_cache();
         engine
-            .search_with(&query, strategy, &opts)
+            .query_traced(&query, strategy, &opts)
             .map_err(|e| format!("query failed: {e}"))?;
     }
     let json = engine.dump_trace_json();
